@@ -143,8 +143,8 @@ Decision Engine::onInvoke(uint64_t Key, uint8_t EagerTier,
   D.EntryTier = std::min<uint8_t>(std::max(E.Ready, EagerTier), ColdTier);
 
   // Promotion ladder: first the vectorized VM program (or the eager
-  // tier itself when that is worse than Vectorized -- e.g. a tiered
-  // SplitScalar flow), then the native unit. A pin caps how high the
+  // tier itself when that is worse than Vectorized), then the native
+  // unit. A pin caps how high the
   // ladder reaches; a claimed-but-unfinished compile blocks reclaiming.
   const uint8_t Floor = E.Pin == NoTier ? 0 : E.Pin;
   const uint8_t Step1 = std::max<uint8_t>(EagerTier, 1);

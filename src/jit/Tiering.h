@@ -37,7 +37,7 @@
 /// tier whose background compile failed is never entered at all.
 ///
 /// The engine is tier-lattice-agnostic on purpose: it stores tiers as
-/// raw uint8_t values of vapor::ExecTier (0 = Native ... 4 =
+/// raw uint8_t values of vapor::ExecTier (0 = Native ... 3 =
 /// Interpreter, lower is better) so this layer needs no dependency on
 /// the pipeline headers above it.
 ///

@@ -7,6 +7,7 @@
 #include "server/Protocol.h"
 
 #include "support/FaultInject.h"
+#include "vapor/Pipeline.h"
 
 #include <cerrno>
 #include <cstring>
@@ -149,10 +150,7 @@ std::vector<uint8_t> server::encodeRunRequest(const RunRequest &R) {
   W.str(R.Tenant);
   W.str(R.Name);
   W.str(R.Target);
-  uint8_t Flags = (R.UseNative ? 1u : 0u) | (R.VerifyBytecode ? 2u : 0u) |
-                  (R.UseCodeCache ? 4u : 0u);
-  W.u8(Flags);
-  W.u8(R.Elide);
+  W.u8(R.UseNative ? 1u : 0u);
   W.u8(R.Inject);
   W.u64(R.DeadlineFuel);
   W.u64(R.FillSeed);
@@ -183,13 +181,8 @@ Status server::decodeRunRequest(const uint8_t *Data, size_t Len,
   Out.Target = R.str();
   uint8_t Flags = R.u8();
   Out.UseNative = (Flags & 1u) != 0;
-  Out.VerifyBytecode = (Flags & 2u) != 0;
-  Out.UseCodeCache = (Flags & 4u) != 0;
-  if ((Flags & ~7u) != 0)
+  if ((Flags & ~1u) != 0)
     return malformed("run request: unknown flag bits");
-  Out.Elide = R.u8();
-  if (Out.Elide > 2)
-    return malformed("run request: bad elision mode");
   Out.Inject = R.u8();
   if (Out.Inject != 0xff && Out.Inject >= faultinject::NumSiteClasses)
     return malformed("run request: bad inject class");
@@ -254,6 +247,8 @@ Status server::decodeRunResponse(const uint8_t *Data, size_t Len,
   Out.Layer = R.u8();
   Out.Message = R.str();
   Out.Tier = R.u8();
+  if (Out.Tier > static_cast<uint8_t>(ExecTier::Interpreter))
+    return malformed("run response: bad tier");
   Out.Demotions = R.u32();
   Out.Retries = R.u32();
   Out.Cycles = R.u64();

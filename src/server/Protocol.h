@@ -72,10 +72,7 @@ struct RunRequest {
   std::string Tenant;     ///< Quota/cache accounting identity.
   std::string Name;       ///< Label for traces and error messages.
   std::string Target;     ///< Target model name ("sse", "avx", ...).
-  bool UseNative = false;
-  bool VerifyBytecode = true;
-  bool UseCodeCache = true;
-  uint8_t Elide = 1;        ///< target::ElisionMode value (validated).
+  bool UseNative = false;   ///< Flag bit 0; every other bit is malformed.
   uint64_t DeadlineFuel = 0; ///< 0 = accept the server's default budget.
   uint64_t FillSeed = 7;
   /// Test-only fault injection scoped to THIS request: a
@@ -108,7 +105,7 @@ struct RunResponse {
   uint8_t Code = 0;    ///< status::Code (0 = ok).
   uint8_t Layer = 0;   ///< status::Layer.
   std::string Message; ///< Status context (empty when ok).
-  uint8_t Tier = 0;    ///< ExecTier that produced the results.
+  uint8_t Tier = 0;    ///< ExecTier that produced the results (validated).
   uint32_t Demotions = 0;
   uint32_t Retries = 0;
   uint64_t Cycles = 0;

@@ -45,23 +45,12 @@ void recordDemotion(const kernels::Kernel &K, const RunOptions &O,
               {"status", obs::argStr(St.str())}});
 }
 
-} // namespace
-
-RunOutcome Executor::run(ExecTier Entry) {
-  if (O.Tiered)
-    return runTiered(Entry);
-  return runChain(Entry);
-}
-
-namespace {
-
 /// One counter per lattice tier so "tier-at-execution" is readable off
 /// a counter snapshot without parsing trace args.
 void countExecTier(ExecTier T) {
   static obs::Counter Native("tiering.exec.native");
   static obs::Counter Vectorized("tiering.exec.vectorized");
   static obs::Counter ScalarJit("tiering.exec.scalar_jit");
-  static obs::Counter ScalarBytecode("tiering.exec.scalar_bytecode");
   static obs::Counter Interp("tiering.exec.interpreter");
   switch (T) {
   case ExecTier::Native:
@@ -73,38 +62,60 @@ void countExecTier(ExecTier T) {
   case ExecTier::ScalarJit:
     ScalarJit.add(1);
     break;
-  case ExecTier::ScalarBytecode:
-    ScalarBytecode.add(1);
-    break;
   case ExecTier::Interpreter:
     Interp.add(1);
     break;
   }
 }
 
+/// The one decode path: hash the encoded bytes, look the module up in the
+/// code cache, and decode (and insert) on a miss. The decoded module is a
+/// pure function of the bytes, so a hit is exactly "same bytes in".
+status::Expected<std::shared_ptr<const ir::Function>>
+decodeCached(const std::vector<uint8_t> &Bytes) {
+  const bool Cached = jit::cache::enabled();
+  uint64_t BytesHash = 0;
+  if (Cached) {
+    BytesHash = jit::cache::hashBytes(Bytes.data(), Bytes.size());
+    if (auto Hit = jit::cache::findModule(BytesHash))
+      return Hit;
+  }
+  auto Decoded = bytecode::decode(Bytes);
+  if (!Decoded)
+    return Decoded.status();
+  if (Cached)
+    return jit::cache::putModule(BytesHash, Decoded.take(), Bytes.size());
+  return std::make_shared<const ir::Function>(Decoded.take());
+}
+
 } // namespace
 
+RunOutcome Executor::run(ExecTier Entry) {
+  if (O.Tiered)
+    return runTiered(Entry);
+  return runChain(Entry);
+}
+
+uint64_t Executor::moduleHash() {
+  if (!ModuleHash)
+    ModuleHash = ir::hashFunction(*Module);
+  return ModuleHash;
+}
+
 uint64_t Executor::tieringKey() {
-  uint64_t H;
-  if (VecModule) {
-    // Server mode: the decoded module IS the function; its structural
-    // hash is also what the cache keys compiles under.
-    if (!VecModuleHash)
-      VecModuleHash = ir::hashFunction(*VecModule);
-    H = VecModuleHash;
-  } else {
-    // Kernel mode: names are unique in the registry and hashing one is
-    // O(bytes-of-name), which keeps the per-invocation steady-state
-    // cost of tiering negligible.
-    H = jit::cache::hashBytes(K.Name.data(), K.Name.size());
-  }
+  // Server mode: the decoded module IS the function; its structural hash
+  // is also what the cache keys compiles under. Kernel mode: names are
+  // unique in the registry and hashing one is O(bytes-of-name), which
+  // keeps the per-invocation steady-state cost of tiering negligible.
+  uint64_t H = FailClosed ? moduleHash()
+                          : jit::cache::hashBytes(K.Name.data(), K.Name.size());
   H = jit::cache::hashCombine(H, jit::cache::hashTarget(O.Target));
   H = jit::cache::hashCombine(H, O.ExternalMisalign);
   uint64_t Flags = (O.UseNative ? 1u : 0u) | (FailClosed ? 2u : 0u) |
                    (O.FoldAddressing ? 4u : 0u) |
                    (O.PromoteAccumulators ? 8u : 0u) |
-                   (O.FuseOps ? 16u : 0u) | (O.VerifyBytecode ? 32u : 0u) |
-                   (O.UseCodeCache ? 64u : 0u) |
+                   (O.FuseOps ? 16u : 0u) |
+                   (F == Flow::SplitScalar ? 32u : 0u) |
                    (static_cast<uint64_t>(O.Tier) << 8) |
                    (static_cast<uint64_t>(O.Elide) << 16);
   H = jit::cache::hashCombine(H, Flags);
@@ -114,13 +125,13 @@ uint64_t Executor::tieringKey() {
 RunOutcome Executor::runTiered(ExecTier Eager) {
   namespace tiering = jit::tiering;
   const uint8_t EagerV = static_cast<uint8_t>(Eager);
-  // Fail-closed flows must not touch the checkpoint-free interpreter or
-  // the (source-re-encoding) scalar-bytecode tier; their cheapest tier
-  // is the forced-scalar JIT, which also skips the verify gate -- the
-  // scalar lowering emits no checked vector access a bytecode lie could
-  // trap, so it is safe-by-construction like the verify-fail demotion
-  // edge. Trusted kernel flows start all the way down at the golden
-  // interpreter: zero compilation before the first result.
+  // Fail-closed flows must not touch the checkpoint-free interpreter;
+  // their cheapest tier is the forced-scalar JIT, which also skips the
+  // verify gate -- the scalar lowering emits no checked vector access a
+  // bytecode lie could trap, so it is safe-by-construction like the
+  // verify-fail demotion edge. Trusted kernel flows start all the way
+  // down at the golden interpreter: zero compilation before the first
+  // result.
   const uint8_t ColdV =
       static_cast<uint8_t>(FailClosed ? ExecTier::ScalarJit
                                       : ExecTier::Interpreter);
@@ -137,21 +148,22 @@ RunOutcome Executor::runTiered(ExecTier Eager) {
     // every artifact of that tier now sits in the content-addressed
     // cache under the exact keys the next foreground invocation will
     // look up -- placement is deterministic (MemoryImage::AddrBase), so
-    // the swap-in is a warm hit, not a handoff.
+    // the swap-in is a warm hit, not a handoff. A server-mode kernel
+    // carries no source, so its copy is cheap; the module is shared.
     RunOptions O2 = O;
     O2.Tiered = false;
     kernels::Kernel K2 = K;
-    std::shared_ptr<const ir::Function> Vec = VecModule;
-    size_t PDB = PreDecodedBytes;
-    bool FC = FailClosed;
+    std::shared_ptr<const ir::Function> Mod = FailClosed ? Module : nullptr;
+    size_t Bytes = ModuleBytes;
+    Flow Fl = F;
     ExecTier CT = static_cast<ExecTier>(D.CompileTier);
     std::string Tenant = jit::cache::currentTenant();
     tiering::engine().enqueueCompile(
         Key, D.EntryTier, D.CompileTier,
-        [K2, O2, Vec, PDB, FC, CT, Tenant]() -> bool {
+        [K2, O2, Mod, Bytes, Fl, CT, Tenant]() -> bool {
           jit::cache::ScopedTenant Scope(Tenant);
-          RunOutcome BG = FC ? Executor(K2, O2, Vec, PDB).runChain(CT)
-                             : Executor(K2, O2).runChain(CT);
+          RunOutcome BG = Mod ? Executor(K2, O2, Mod, Bytes).runChain(CT)
+                              : Executor(K2, O2, Fl).runChain(CT);
           return BG.Terminal.ok() &&
                  static_cast<uint8_t>(BG.Tier) <= static_cast<uint8_t>(CT);
         });
@@ -184,247 +196,115 @@ RunOutcome Executor::runChain(ExecTier Entry) {
   RunOutcome Out;
   Out.EntryTier = Entry;
   ExecTier T = Entry;
-  while (true) {
+
+  // One hop down the chain with \p St as its reason. \returns false when
+  // the run stops instead: deadline exhaustion (a slower tier cannot
+  // meet a budget the faster one missed) or a fail-closed floor.
+  auto Demote = [&](const Status &St, ExecTier To) {
+    if (St.code() == Code::DeadlineExceeded ||
+        (FailClosed && To == ExecTier::Interpreter)) {
+      Out.Tier = T;
+      Out.Terminal = St;
+      return false;
+    }
+    Out.Demotions.push_back(St);
+    recordDemotion(K, O, St, T, To);
+    T = To;
+    return true;
+  };
+
+  bool Done = false;
+  if (T != ExecTier::Interpreter) {
+    Status St = prepare(Out, T);
+    if (!St.ok())
+      Done = !Demote(St, St.layer() == Layer::Verify ? ExecTier::ScalarJit
+                                                      : ExecTier::Interpreter);
+  }
+  while (!Done) {
+    Status St = Status::okStatus();
+    ExecTier Next = ExecTier::Interpreter;
     switch (T) {
-    case ExecTier::Native: {
-      Status St = attemptNative(Out);
-      if (St.ok()) {
-        Out.Tier = ExecTier::Native;
-        break;
-      }
-      if (St.code() == Code::DeadlineExceeded) {
-        // Terminal, never a demotion: the fast tier already spent the
-        // whole budget, so a slower tier cannot meet the deadline.
-        Out.Tier = ExecTier::Native;
-        Out.Terminal = St;
-        break;
-      }
-      // Every native failure -- unsupported host, page allocation,
-      // runtime trap -- demotes to the VM running the exact same
+    case ExecTier::Native:
+      // Every native failure demotes to the VM running the exact same
       // lowering. Not a Retry: the vector code is not suspect, only its
       // native binding, so no deoptimizing recompile happens.
-      Out.Demotions.push_back(St);
-      recordDemotion(K, O, St, T, ExecTier::Vectorized);
-      T = ExecTier::Vectorized;
-      continue;
-    }
-    case ExecTier::Vectorized: {
-      Status St = attemptVectorized(Out);
-      if (St.ok()) {
-        Out.Tier = ExecTier::Vectorized;
-        break;
-      }
-      if (St.code() == Code::DeadlineExceeded) {
-        Out.Tier = ExecTier::Vectorized;
-        Out.Terminal = St;
-        break;
-      }
-      ExecTier Next;
-      if (St.layer() == Layer::Verify) {
-        Next = ExecTier::ScalarJit; // Forced-scalar code is safe to run.
-      } else if (St.layer() == Layer::Vm) {
-        ++Out.Retries; // Deoptimize: recompile scalar after the trap.
-        Next = ExecTier::ScalarJit;
-      } else if (FailClosed) {
-        // Server mode has no ScalarBytecode tier (no trusted source to
-        // re-encode); a lowering failure recovers on the forced-scalar
-        // re-JIT of the same pre-decoded module instead. Decode cannot
-        // fail here -- the module arrived decoded.
-        Next = ExecTier::ScalarJit;
-      } else {
-        // Decode failures leave no module to re-JIT; JIT failures demote
-        // past the vector bytecode entirely.
-        Next = ExecTier::ScalarBytecode;
-      }
-      Out.Demotions.push_back(St);
-      recordDemotion(K, O, St, T, Next);
-      T = Next;
-      continue;
-    }
-    case ExecTier::ScalarJit: {
-      if (!VecModule) { // Nothing decoded to scalarize.
-        T = ExecTier::ScalarBytecode;
-        continue;
-      }
-      Status St = attemptScalarJit(Out);
-      if (St.ok()) {
-        Out.Tier = ExecTier::ScalarJit;
-        break;
-      }
-      if (FailClosed || St.code() == Code::DeadlineExceeded) {
-        // Fail closed: past ScalarJit lie only tiers that re-derive
-        // from trusted kernel source or run the checkpoint-free
-        // interpreter -- neither may see tenant-supplied input.
-        Out.Tier = ExecTier::ScalarJit;
-        Out.Terminal = St;
-        break;
-      }
-      Out.Demotions.push_back(St);
-      recordDemotion(K, O, St, T, ExecTier::ScalarBytecode);
-      T = ExecTier::ScalarBytecode;
-      continue;
-    }
-    case ExecTier::ScalarBytecode: {
-      Status St = attemptScalarBytecode(Out);
-      if (St.ok()) {
-        Out.Tier = ExecTier::ScalarBytecode;
-        break;
-      }
-      if (St.code() == Code::DeadlineExceeded) {
-        Out.Tier = ExecTier::ScalarBytecode;
-        Out.Terminal = St;
-        break;
-      }
-      Out.Demotions.push_back(St);
-      recordDemotion(K, O, St, T, ExecTier::Interpreter);
-      T = ExecTier::Interpreter;
-      continue;
-    }
+      St = runModule(Out, /*ForceScalarize=*/false, RunEngine::Native);
+      Next = ExecTier::Vectorized;
+      break;
+    case ExecTier::Vectorized:
+      St = runModule(Out, /*ForceScalarize=*/false);
+      Next = ExecTier::ScalarJit;
+      break;
+    case ExecTier::ScalarJit:
+      St = runModule(Out, /*ForceScalarize=*/true);
+      break;
     case ExecTier::Interpreter:
       runInterpreter(Out);
-      Out.Tier = ExecTier::Interpreter;
       break;
     }
-    static obs::Counter Runs("executor.runs");
-    Runs.add(1);
-    if (!Out.Terminal.ok()) {
-      static obs::Counter Terminals("executor.terminal");
-      Terminals.add(1);
-      S.arg("terminal", Out.Terminal.str());
+    if (St.ok()) {
+      Out.Tier = T;
+      break;
     }
-    S.arg("tier", tierName(Out.Tier));
-    S.arg("demotions", static_cast<uint64_t>(Out.Demotions.size()));
-    S.arg("retries", static_cast<uint64_t>(Out.Retries));
-    S.arg("cycles", Out.Cycles);
-    return Out;
+    const bool Deopt = T == ExecTier::Vectorized && St.layer() == Layer::Vm;
+    Done = !Demote(St, Next);
+    if (!Done && Deopt)
+      ++Out.Retries; // Deoptimize: recompile scalar after the trap.
   }
+
+  static obs::Counter Runs("executor.runs");
+  Runs.add(1);
+  if (!Out.Terminal.ok()) {
+    static obs::Counter Terminals("executor.terminal");
+    Terminals.add(1);
+    S.arg("terminal", Out.Terminal.str());
+  }
+  S.arg("tier", tierName(Out.Tier));
+  S.arg("demotions", static_cast<uint64_t>(Out.Demotions.size()));
+  S.arg("retries", static_cast<uint64_t>(Out.Retries));
+  S.arg("cycles", Out.Cycles);
+  return Out;
 }
 
-Status Executor::prepareVectorized(RunOutcome &Out) {
-  if (FailClosed) {
-    // Server mode: the module arrived pre-decoded (and pre-vectorized),
-    // so there is no offline stage and no interchange round trip to run
-    // here -- only the verify gate stands between the wire bytes and
-    // the JIT.
-    Out.BytecodeBytes = PreDecodedBytes;
-    const bool Cached = O.UseCodeCache && jit::cache::enabled();
-    if (Cached && !VecModuleHash)
-      VecModuleHash = ir::hashFunction(*VecModule);
-    if (O.VerifyBytecode)
-      return verifyCached(*VecModule, VecModuleHash, Cached,
-                          "bytecode verification failed for ");
-    return Status::okStatus();
-  }
-
-  // --- Offline stage (trusted: keeps its internal asserts) ---
-  auto VR = vectorizer::vectorize(K.Source, O.VecOpts);
-  Out.AnyLoopVectorized = VR.anyVectorized();
-  Out.LoopDecisions = VR.Loops;
-
-  // The split layer is a real interchange format: encode and decode what
-  // the online compiler consumes (also yields the size statistic). The
-  // decode and verification verdicts are pure functions of the encoded
-  // bytes (and target), so sweep re-runs take them from the cache.
-  std::vector<uint8_t> Encoded = bytecode::encode(VR.Output);
-  Out.BytecodeBytes = Encoded.size();
-  if (obs::tracingActive())
-    obs::event("bytecode", "encode",
-               {{"kernel", obs::argStr(K.Name)},
-                {"bytes", obs::argStr(static_cast<uint64_t>(Encoded.size()))}});
-  const bool Cached = O.UseCodeCache && jit::cache::enabled();
-  uint64_t BytesHash = 0;
-  std::shared_ptr<const ir::Function> Module;
-  if (Cached) {
-    BytesHash = jit::cache::hashBytes(Encoded.data(), Encoded.size());
-    Module = jit::cache::findModule(BytesHash);
-  }
+Status Executor::prepare(RunOutcome &Out, ExecTier Entry) {
   if (!Module) {
-    auto Decoded = bytecode::decode(Encoded);
+    // --- Offline stage (trusted: keeps its internal asserts) ---
+    std::vector<uint8_t> Encoded;
+    if (F == Flow::SplitVectorized) {
+      auto VR = vectorizer::vectorize(K.Source, O.VecOpts);
+      Out.AnyLoopVectorized = VR.anyVectorized();
+      Out.LoopDecisions = VR.Loops;
+      Encoded = bytecode::encode(VR.Output);
+    } else {
+      Encoded = bytecode::encode(K.Source);
+    }
+    // The split layer is a real interchange format: decode what the
+    // online compiler consumes (also yields the size statistic).
+    if (obs::tracingActive())
+      obs::event(
+          "bytecode", "encode",
+          {{"kernel", obs::argStr(K.Name)},
+           {"bytes", obs::argStr(static_cast<uint64_t>(Encoded.size()))}});
+    auto Decoded = decodeCached(Encoded);
     if (!Decoded)
       return Decoded.status();
-    Module = Cached
-                 ? jit::cache::putModule(BytesHash, Decoded.take(),
-                                         Encoded.size())
-                 : std::make_shared<const ir::Function>(Decoded.take());
+    Module = Decoded.take();
+    ModuleBytes = Encoded.size();
   }
-  VecModule = Module;
-  VecModuleHash = Cached ? ir::hashFunction(*VecModule) : 0;
+  Out.BytecodeBytes = ModuleBytes;
 
   // The split layer's contract: what crosses it must be provably safe
-  // for every lowering the online compiler may pick on this target.
-  if (O.VerifyBytecode) {
-    Status St = verifyCached(*VecModule, VecModuleHash, Cached,
-                             "bytecode verification failed for ");
-    if (!St.ok())
-      return St;
-  }
-
-  return Status::okStatus();
+  // for every lowering the online compiler may pick on this target. A
+  // forced-scalar entry picks none, so it skips the gate.
+  if (Entry > ExecTier::Vectorized)
+    return Status::okStatus();
+  return verifyGate();
 }
 
-Status Executor::attemptNative(RunOutcome &Out) {
-  // One gate for the whole tier: the encoding set (normally the host
-  // CPUID probe, a forced subset in tests) must clear the x86-64 + SSE2
-  // baseline. Jit-layer because it is a lowering capability, and the
-  // demotion edge lands on the tier that can always lower: the VM.
-  if (!codegen::supported(O.Native.Features))
-    return Status::error(
-        Code::UnsupportedIdiom, Layer::Jit,
-        "native tier unsupported on this host (needs x86-64 + sse2; have '" +
-            O.Native.Features.str() + "')");
-  Status St = prepareVectorized(Out);
-  if (!St.ok())
-    return St;
-  return runModule(Out, *VecModule, VecModuleHash, /*ForceScalarize=*/false,
-                   RunEngine::Native);
-}
-
-Status Executor::attemptVectorized(RunOutcome &Out) {
-  Status St = prepareVectorized(Out);
-  if (!St.ok())
-    return St;
-  return runModule(Out, *VecModule, VecModuleHash, /*ForceScalarize=*/false);
-}
-
-Status Executor::attemptScalarJit(RunOutcome &Out) {
-  return runModule(Out, *VecModule, VecModuleHash, /*ForceScalarize=*/true);
-}
-
-Status Executor::attemptScalarBytecode(RunOutcome &Out) {
-  std::vector<uint8_t> Encoded = bytecode::encode(K.Source);
-  Out.BytecodeBytes = Encoded.size();
-  const bool Cached = O.UseCodeCache && jit::cache::enabled();
-  uint64_t BytesHash = 0;
-  std::shared_ptr<const ir::Function> Module;
-  if (Cached) {
-    BytesHash = jit::cache::hashBytes(Encoded.data(), Encoded.size());
-    Module = jit::cache::findModule(BytesHash);
-  }
-  if (!Module) {
-    auto Decoded = bytecode::decode(Encoded);
-    if (!Decoded)
-      return Decoded.status();
-    Module = Cached
-                 ? jit::cache::putModule(BytesHash, Decoded.take(),
-                                         Encoded.size())
-                 : std::make_shared<const ir::Function>(Decoded.take());
-  }
-  uint64_t FnHash = Cached ? ir::hashFunction(*Module) : 0;
-
-  if (O.VerifyBytecode) {
-    Status St = verifyCached(*Module, FnHash, Cached,
-                             "scalar bytecode verification failed for ");
-    if (!St.ok())
-      return St;
-  }
-
-  return runModule(Out, *Module, FnHash, /*ForceScalarize=*/false);
-}
-
-Status Executor::verifyCached(const ir::Function &Module, uint64_t FnHash,
-                              bool Cached, const char *FailPrefix) {
-  Cert.reset(); // Never let a previous module's certificate leak forward.
-  uint64_t TargetHash = Cached ? jit::cache::hashTarget(O.Target) : 0;
+Status Executor::verifyGate() {
+  const bool Cached = jit::cache::enabled();
+  const uint64_t FnHash = Cached ? moduleHash() : 0;
+  const uint64_t TargetHash = Cached ? jit::cache::hashTarget(O.Target) : 0;
   std::optional<jit::cache::VerifyResult> VRes;
   if (Cached)
     VRes = jit::cache::findVerify(FnHash, TargetHash);
@@ -434,7 +314,7 @@ Status Executor::verifyCached(const ir::Function &Module, uint64_t FnHash,
     S.arg("target", O.Target.Name);
     verify::VerifyOptions VO;
     VO.Targets = {O.Target};
-    verify::Report Rep = verify::verifyModule(Module, VO);
+    verify::Report Rep = verify::verifyModule(*Module, VO);
     static obs::Counter Proved("verify.obligations_proved");
     static obs::Counter Failed("verify.obligations_failed");
     Proved.add(Rep.ObligationsProved);
@@ -455,26 +335,37 @@ Status Executor::verifyCached(const ir::Function &Module, uint64_t FnHash,
   Cert = VRes->Cert;
   if (!VRes->Ok)
     return Status::error(Code::VerificationFailed, Layer::Verify,
-                         FailPrefix + K.Name + ":\n" + VRes->Report);
+                         "bytecode verification failed for " + K.Name +
+                             ":\n" + VRes->Report);
   return Status::okStatus();
 }
 
-Status Executor::runModule(RunOutcome &Out, const ir::Function &Module,
-                           uint64_t FnHash, bool ForceScalarize,
+Status Executor::runModule(RunOutcome &Out, bool ForceScalarize,
                            RunEngine Engine) {
+  // One gate for the whole native tier: the encoding set (normally the
+  // host CPUID probe, a forced subset in tests) must clear the x86-64 +
+  // SSE2 baseline. Jit-layer because it is a lowering capability, and
+  // the demotion edge lands on the tier that can always lower: the VM.
+  if (Engine == RunEngine::Native && !codegen::supported(O.Native.Features))
+    return Status::error(
+        Code::UnsupportedIdiom, Layer::Jit,
+        "native tier unsupported on this host (needs x86-64 + sse2; have '" +
+            O.Native.Features.str() + "')");
+  const ir::Function &Fn = *Module;
+
   // --- Runtime layout: a fresh image per attempt, because a trapped run
   // may have partially written arrays. ---
   Out.Mem = std::make_unique<MemoryImage>();
-  for (uint32_t A = 0; A < Module.Arrays.size(); ++A) {
-    const ArrayInfo &AI = Module.Arrays[A];
+  for (uint32_t A = 0; A < Fn.Arrays.size(); ++A) {
+    const ArrayInfo &AI = Fn.Arrays[A];
     bool External = K.ExternalArrays.count(AI.Name) != 0;
     Out.Mem->addArray(AI, External ? O.ExternalMisalign : 0);
   }
 
   // --- What the compiler knows about the runtime ---
   jit::RuntimeInfo RT;
-  for (uint32_t A = 0; A < Module.Arrays.size(); ++A) {
-    const ArrayInfo &AI = Module.Arrays[A];
+  for (uint32_t A = 0; A < Fn.Arrays.size(); ++A) {
+    const ArrayInfo &AI = Fn.Arrays[A];
     bool External = K.ExternalArrays.count(AI.Name) != 0;
     if (External)
       RT.Arrays.push_back({false, 0});
@@ -490,18 +381,16 @@ Status Executor::runModule(RunOutcome &Out, const ir::Function &Module,
   JO.FoldAddressing = O.FoldAddressing;
   JO.PromoteAccumulators = O.PromoteAccumulators;
   JO.ForceScalarize = ForceScalarize;
-  const bool Cached = O.UseCodeCache && jit::cache::enabled();
+  const bool Cached = jit::cache::enabled();
   uint64_t CompKey = 0;
   std::shared_ptr<const jit::CompileResult> R;
   auto T0 = std::chrono::steady_clock::now();
   if (Cached) {
-    if (!FnHash)
-      FnHash = ir::hashFunction(Module);
-    CompKey = jit::cache::compileKey(FnHash, O.Target, JO, RT);
+    CompKey = jit::cache::compileKey(moduleHash(), O.Target, JO, RT);
     R = jit::cache::findCompile(CompKey);
   }
   if (!R) {
-    auto CR = jit::compileChecked(Module, O.Target, RT, JO);
+    auto CR = jit::compileChecked(Fn, O.Target, RT, JO);
     if (!CR) {
       Out.CompileMicros += std::chrono::duration<double, std::micro>(
                                std::chrono::steady_clock::now() - T0)
@@ -539,7 +428,7 @@ Status Executor::runModule(RunOutcome &Out, const ir::Function &Module,
     std::map<std::string, int64_t> IntVals;
     std::set<std::string> FpSet;
     detail::setParams(
-        K, Module,
+        K, Fn,
         [&](const std::string &N, int64_t V) { IntVals[N] = V; },
         [&](const std::string &N, double) { FpSet.insert(N); });
     analysis::ParamFn PF =
@@ -550,7 +439,7 @@ Status Executor::runModule(RunOutcome &Out, const ir::Function &Module,
       return std::nullopt; // FP-bound or unknown: no integer value.
     };
     (void)FpSet;
-    Plan = jit::buildElisionPlan(Module, Cert.get(), O.Target, *Out.Mem,
+    Plan = jit::buildElisionPlan(Fn, Cert.get(), O.Target, *Out.Mem,
                                  EMode, PF);
   } else {
     Plan.Mode = target::ElisionMode::Off;
@@ -600,7 +489,7 @@ Status Executor::runModule(RunOutcome &Out, const ir::Function &Module,
     if (O.DeadlineFuel)
       Exec.setFuel(O.DeadlineFuel);
     detail::setParams(
-        K, Module,
+        K, Fn,
         [&](const std::string &N, int64_t V) { Exec.setParamInt(N, V); },
         [&](const std::string &N, double V) { Exec.setParamFP(N, V); });
     Status St = Exec.run();
@@ -629,7 +518,7 @@ Status Executor::runModule(RunOutcome &Out, const ir::Function &Module,
   if (O.DeadlineFuel)
     Machine.setFuel(O.DeadlineFuel);
   detail::setParams(
-      K, Module,
+      K, Fn,
       [&](const std::string &N, int64_t V) { Machine.setParamInt(N, V); },
       [&](const std::string &N, double V) { Machine.setParamFP(N, V); });
   Status St = Machine.run();
@@ -685,43 +574,32 @@ RunOutcome vapor::runEncodedModule(const ModuleWorkload &W,
   S.arg("name", W.Name);
   S.arg("bytes", static_cast<uint64_t>(W.Bytecode.size()));
 
-  // Decode first (through the cache when enabled): the bytes are the
-  // only definition of the work, so a decode failure is terminal -- no
-  // lower tier can synthesize a module the wire format rejected.
-  const bool Cached = O.UseCodeCache && jit::cache::enabled();
-  uint64_t BytesHash = 0;
-  std::shared_ptr<const ir::Function> Module;
-  if (Cached) {
-    BytesHash = jit::cache::hashBytes(W.Bytecode.data(), W.Bytecode.size());
-    Module = jit::cache::findModule(BytesHash);
+  // The bytes are the only definition of the work, so a decode failure
+  // is terminal -- no tier can synthesize a module the wire format
+  // rejected.
+  auto Decoded = decodeCached(W.Bytecode);
+  if (!Decoded) {
+    RunOutcome Out;
+    Out.Terminal = Decoded.status();
+    return Out;
   }
-  if (!Module) {
-    auto Decoded = bytecode::decode(W.Bytecode);
-    if (!Decoded) {
-      RunOutcome Out;
-      Out.Terminal = Decoded.status();
-      return Out;
-    }
-    Module = Cached ? jit::cache::putModule(BytesHash, Decoded.take(),
-                                            W.Bytecode.size())
-                    : std::make_shared<const ir::Function>(Decoded.take());
-  }
+  std::shared_ptr<const ir::Function> Module = Decoded.take();
 
   // Synthesize the workload the executor drives: the decoded module is
   // the source of truth for arrays and params; the fill is the
   // deterministic default (seeded), so a client that knows the original
-  // source can recompute the golden result independently.
+  // source can recompute the golden result independently. The fill
+  // shares the module rather than copying it into the kernel's Source.
   kernels::Kernel K;
   K.Name = W.Name.empty() ? Module->Name : W.Name;
   K.Suite = "server";
-  K.Source = *Module;
   K.IntParams = W.IntParams;
   K.FPParams = W.FPParams;
-  const uint64_t Seed = W.FillSeed;
-  K.Fill = [Seed](kernels::FillSink &Sink, const ir::Function &F) {
-    kernels::defaultFill(Sink, F, Seed);
+  K.Fill = [Module, Seed = W.FillSeed](kernels::FillSink &Sink,
+                                       const ir::Function &) {
+    kernels::defaultFill(Sink, *Module, Seed);
   };
 
-  return Executor(K, O, Module, W.Bytecode.size())
+  return Executor(K, O, std::move(Module), W.Bytecode.size())
       .run(O.UseNative ? ExecTier::Native : ExecTier::Vectorized);
 }

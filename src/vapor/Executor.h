@@ -5,39 +5,47 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The fault-tolerant driver behind the split flows: instead of aborting
-/// when an online stage fails, it walks a degradation chain until some
-/// tier completes, and reports honestly which one did:
+/// The fault-tolerant driver behind the split flows. It prepares the
+/// run's module once -- decode through the code cache, then the verify
+/// gate -- and then walks a degradation chain until some tier completes,
+/// reporting honestly which one did:
 ///
-///   Native          the same split bytecode, decode, verify gate, and
-///                   JIT lowering as Vectorized, but the MachineIR is
-///                   compiled to host x86-64 (src/codegen) instead of
-///                   running on the cycle-model VM;
-///   Vectorized      split bytecode -> decode -> verify gate -> JIT ->
-///                   target VM in trap-recording mode;
-///   ScalarJit       the same decoded bytecode re-JITted with forced
-///                   scalarization (no checked vector accesses can be
-///                   emitted, so no alignment lie in the bytecode can
-///                   trap it) -- also the *deoptimization* target when
-///                   the vectorized tier takes a runtime alignment trap;
-///   ScalarBytecode  freshly encoded scalar bytecode through the normal
-///                   decode/verify/JIT/VM path;
-///   Interpreter     the golden IR evaluator on the kernel source. This
-///                   tier cannot fail: it shares no code with the stages
-///                   that can.
+///   Native       the prepared module's vector lowering compiled to host
+///                x86-64 (src/codegen) instead of run on the cycle-model
+///                VM;
+///   Vectorized   the prepared module's JIT lowering on the target VM in
+///                trap-recording mode;
+///   ScalarJit    the same module re-JITted with forced scalarization
+///                (no checked vector accesses can be emitted, so no
+///                alignment lie in the bytecode can trap it) -- also the
+///                *deoptimization* target when the vectorized tier takes
+///                a runtime alignment trap;
+///   Interpreter  the golden IR evaluator on the kernel source. This tier
+///                cannot fail: it shares no code with the stages that
+///                can. Trusted kernel flows only.
+///
+/// The module comes from one of three sources: the kernel source through
+/// the offline vectorizer (Flow::SplitVectorized), the kernel source as
+/// is (Flow::SplitScalar, the Figs. 5/6 scalar-bytecode measurement), or
+/// the server's pre-decoded wire module (runEncodedModule).
 ///
 /// Demotion edges (each carries the demoting Status into the outcome):
-///   native fail     -> Vectorized (any failure: unsupported host, page
-///                      allocation, runtime trap. The VM is the golden
-///                      execution of the exact same lowering, so this
-///                      edge is NOT a retry -- the vector code is not
-///                      suspect, only its native binding);
-///   decode fail     -> ScalarBytecode (-> Interpreter if decode fails
-///                      again: the fault is in the interchange layer);
+///   decode fail     -> the floor (the fault is in the interchange layer,
+///                      so no JIT tier has a module to run);
 ///   verify fail     -> ScalarJit (the gate rejected a vector lowering;
 ///                      forced-scalar code is safe by construction);
-///   JIT lower fail  -> ScalarBytecode;
-///   VM runtime trap -> ScalarJit, counted as a Retry (deoptimization).
+///   native fail     -> Vectorized (any failure: unsupported host, page
+///                      allocation, lowering, runtime trap. The VM is the
+///                      golden execution of the exact same lowering, so
+///                      this edge is NOT a retry);
+///   JIT lower fail  -> ScalarJit;
+///   VM runtime trap -> ScalarJit, counted as a Retry (deoptimization);
+///   ScalarJit fail  -> the floor.
+///
+/// The floor is the Interpreter for trusted kernel flows. Server runs
+/// fail closed: the floor is a Terminal Status, because the interpreter
+/// has no deadline checkpoint and must never run tenant-supplied input.
+/// Deadline exhaustion is terminal on every tier.
 ///
 /// Every VM at this level runs in trap-recording mode, so a runtime
 /// fault comes back as a Vm-layer Status with structured TrapInfo rather
@@ -56,26 +64,28 @@ namespace vapor {
 
 class Executor {
 public:
-  Executor(const kernels::Kernel &K, const RunOptions &O) : K(K), O(O) {}
+  /// Trusted kernel flows: \p F is Flow::SplitVectorized or
+  /// Flow::SplitScalar and picks the module source.
+  Executor(const kernels::Kernel &K, const RunOptions &O,
+           Flow F = Flow::SplitVectorized)
+      : K(K), O(O), F(F) {}
 
   /// Server-mode executor: \p PreDecoded is the already-decoded module
   /// the (untrusted) encoded bytes produced and \p EncodedBytes its wire
-  /// size. The chain FAIL-CLOSES after ScalarJit: with no trusted kernel
-  /// source behind the module, the ScalarBytecode re-encode is a no-op
-  /// and the interpreter tier -- which has no deadline checkpoint --
-  /// must never run tenant-supplied input. \p K still supplies the
-  /// workload (params, fill, name); its Source is the decoded module.
+  /// size. The chain FAIL-CLOSES: with no trusted kernel source behind the
+  /// module, the floor is a Terminal Status, never the interpreter. \p K
+  /// still supplies the workload (params, fill, name); its Source is
+  /// unused.
   Executor(const kernels::Kernel &K, const RunOptions &O,
            std::shared_ptr<const ir::Function> PreDecoded,
            size_t EncodedBytes)
-      : K(K), O(O), VecModule(std::move(PreDecoded)),
-        PreDecodedBytes(EncodedBytes), FailClosed(true) {}
+      : K(K), O(O), Module(std::move(PreDecoded)),
+        ModuleBytes(EncodedBytes), FailClosed(true) {}
 
-  /// Walks the chain starting at \p Entry (Vectorized for the
-  /// SplitVectorized flow, ScalarBytecode for SplitScalar) until a tier
-  /// completes. Never aborts for representable configurations -- also
-  /// not under fault injection; the outcome records the executed tier,
-  /// every demoting Status, and the retry count.
+  /// Walks the chain starting at \p Entry until a tier completes. Never
+  /// aborts for representable configurations -- also not under fault
+  /// injection; the outcome records the executed tier, every demoting
+  /// Status, and the retry count.
   ///
   /// Under RunOptions::Tiered, \p Entry is the EAGER entry tier (the
   /// best this run may reach); the actual entry is chosen by the
@@ -83,7 +93,7 @@ public:
   RunOutcome run(ExecTier Entry = ExecTier::Vectorized);
 
   /// The hotness key this workload ticks under RunOptions::Tiered:
-  /// function identity (module hash in server mode, kernel name
+  /// function identity (module hash in server mode, kernel name and flow
   /// otherwise), target, external-array placement, every
   /// compilation-relevant option, and O.TieringSalt. Exposed so
   /// vapor-explain can look up the promotion timeline after a run.
@@ -107,56 +117,45 @@ private:
   /// CodeCache), and reports demotions back as pins.
   RunOutcome runTiered(ExecTier Eager);
 
-  /// The shared front of the Native and Vectorized tiers: offline
-  /// vectorize, encode/decode through the interchange format, verify
-  /// gate. On success VecModule/VecModuleHash are set. Re-running it is
-  /// deterministic, so a Native -> Vectorized demotion simply prepares
-  /// again (warm-cache runs memoize every stage anyway).
-  status::Status prepareVectorized(RunOutcome &Out);
+  /// The run's one prepare step, before the chain walks: obtains the
+  /// module (trusted flows: offline stage, encode, and decode through
+  /// the code cache) and, when \p Entry is a vector tier, runs the
+  /// verify gate once. A Bytecode-layer failure leaves no module; a
+  /// Verify-layer failure leaves one that only ScalarJit may run.
+  status::Status prepare(RunOutcome &Out, ExecTier Entry);
 
-  /// prepareVectorized + vector JIT + native x86-64 execution.
-  status::Status attemptNative(RunOutcome &Out);
-  /// prepareVectorized + vector JIT + VM.
-  status::Status attemptVectorized(RunOutcome &Out);
-  /// Re-JIT the already-decoded module with Options::ForceScalarize.
-  status::Status attemptScalarJit(RunOutcome &Out);
-  /// Scalar source through the full split path (encode/decode/JIT/VM).
-  status::Status attemptScalarBytecode(RunOutcome &Out);
+  /// The verify gate, its verdict memoized in the code cache (keyed on
+  /// the module hash and the run's target). Captures the certificate.
+  status::Status verifyGate();
+
+  /// ir::hashFunction(*Module), computed once per executor.
+  uint64_t moduleHash();
+
   /// Golden evaluator; materializes results into a fresh MemoryImage so
   /// checkAgainstGolden works uniformly across tiers.
   void runInterpreter(RunOutcome &Out);
 
-  /// The shared online tail of the JIT tiers: layout, compileChecked
-  /// (through the code cache when enabled), fill, VM run
-  /// (trap-recording). \p FnHash is ir::hashFunction(Module) when the
-  /// caller already computed it, 0 to compute on demand. On success
-  /// fills the outcome's Cycles/Code/Mem; on failure \returns the Jit-
-  /// or Vm-layer Status.
-  status::Status runModule(RunOutcome &Out, const ir::Function &Module,
-                           uint64_t FnHash, bool ForceScalarize,
+  /// The shared online tail of the JIT tiers over the prepared module:
+  /// layout, compileChecked (through the code cache when enabled), fill,
+  /// VM or native run. On success fills the outcome's Cycles/Code/Mem;
+  /// on failure \returns the Jit- or Vm-layer Status.
+  status::Status runModule(RunOutcome &Out, bool ForceScalarize,
                            RunEngine Engine = RunEngine::Vm);
-
-  /// Verification with the verdict memoized in the code cache (keyed on
-  /// \p FnHash and the run's target). \p Cached gates cache use; the
-  /// failure Status message starts with \p FailPrefix.
-  status::Status verifyCached(const ir::Function &Module, uint64_t FnHash,
-                              bool Cached, const char *FailPrefix);
 
   const kernels::Kernel &K;
   const RunOptions &O;
-  /// Decoded vectorized module, if any; possibly shared with the code
-  /// cache (immutable either way).
-  std::shared_ptr<const ir::Function> VecModule;
-  uint64_t VecModuleHash = 0; ///< ir::hashFunction(*VecModule), if cached.
-  size_t PreDecodedBytes = 0; ///< Wire size of the server-mode module.
-  /// Server mode: stop (RunOutcome::Terminal) instead of demoting past
-  /// ScalarJit. Also skips the offline vectorize/encode in
-  /// prepareVectorized -- VecModule arrived pre-decoded.
+  /// Module source of trusted kernel flows (unused in server mode).
+  Flow F = Flow::SplitVectorized;
+  /// The run's decoded module once prepared (given up front in server
+  /// mode); possibly shared with the code cache (immutable either way).
+  std::shared_ptr<const ir::Function> Module;
+  uint64_t ModuleHash = 0; ///< ir::hashFunction(*Module), once computed.
+  size_t ModuleBytes = 0;  ///< Encoded size of Module.
+  /// Server mode: the floor is a Terminal Status instead of the
+  /// interpreter, and the tiering cold tier is ScalarJit.
   bool FailClosed = false;
-  /// Safety certificate the last verifyCached call captured for the
-  /// module it verified (null when the verifier proved nothing or the
-  /// verify gate is off). Always describes the module runModule runs
-  /// next: each verify resets it.
+  /// Safety certificate the verify gate captured for Module (null when
+  /// the verifier proved nothing or the gate did not run).
   std::shared_ptr<const analysis::SafetyCertificate> Cert;
 };
 

@@ -45,8 +45,6 @@ const char *vapor::tierName(ExecTier T) {
     return "vectorized";
   case ExecTier::ScalarJit:
     return "scalar-jit";
-  case ExecTier::ScalarBytecode:
-    return "scalar-bytecode";
   case ExecTier::Interpreter:
     return "interpreter";
   }
@@ -132,7 +130,9 @@ RunOutcome vapor::runKernel(const kernels::Kernel &K, Flow F,
     return Executor(K, O).run(O.UseNative ? ExecTier::Native
                                           : ExecTier::Vectorized);
   case Flow::SplitScalar:
-    return Executor(K, O).run(ExecTier::ScalarBytecode);
+    // The scalar source's own bytecode: its "vectorized" lowering is the
+    // scalar one, so the chain enters at the VM tier.
+    return Executor(K, O, F).run(ExecTier::Vectorized);
   case Flow::NativeVectorized:
   case Flow::NativeScalar:
     return runNative(K, F, O);

@@ -50,14 +50,14 @@ enum class Flow : uint8_t {
 const char *flowName(Flow F);
 
 /// The tiers of the fault-tolerant executor's degradation chain, best
-/// first. Every online-stage failure demotes one run down this chain;
-/// the bottom tier (the golden IR interpreter) cannot fail.
+/// first (vapor/Executor.h has the edges). Every online-stage failure
+/// demotes one run down this chain; the bottom tier (the golden IR
+/// interpreter) cannot fail and serves trusted kernel flows only.
 enum class ExecTier : uint8_t {
-  Native,         ///< Vector lowering compiled to host x86-64 (W^X pages).
-  Vectorized,     ///< Split bytecode, vector lowering, target VM.
-  ScalarJit,      ///< Same bytecode re-JITted with forced scalarization.
-  ScalarBytecode, ///< Scalar split bytecode through the normal JIT + VM.
-  Interpreter,    ///< Golden IR evaluator on the kernel source.
+  Native,      ///< Vector lowering compiled to host x86-64 (W^X pages).
+  Vectorized,  ///< The module's own lowering on the target VM.
+  ScalarJit,   ///< Same module re-JITted with forced scalarization.
+  Interpreter, ///< Golden IR evaluator on the kernel source.
 };
 
 const char *tierName(ExecTier T);
@@ -73,23 +73,13 @@ struct RunOptions {
   /// Runtime placement: misalignment (bytes mod 32) of external arrays;
   /// internal arrays are allocated by our runtime, which aligns them.
   uint32_t ExternalMisalign = 0;
-  uint64_t FillSeed = 7;
-  /// Statically verify the decoded bytecode for the run's target before
-  /// handing it to the JIT. A verification failure is not fatal: the
-  /// executor records a Verify-layer Status in RunOutcome::Demotions and
-  /// demotes the run to the forced-scalar JIT tier (scalar lowering emits
-  /// no checked vector accesses, so no alignment lie can trap it). Split
-  /// flows only (native flows bypass the interchange format).
-  bool VerifyBytecode = true;
-  /// Online-stage performance layer. FuseOps runs the VM's macro-op
-  /// fusion peephole (bit-identical results and modeled cycles, fewer
-  /// dispatches). UseCodeCache memoizes decode, verification, JIT
-  /// lowering, and VM pre-decode through the content-addressed cache
-  /// (jit/CodeCache.h); the cache stands down automatically while a
-  /// fault-injection controller is active, so instrumented runs always
-  /// execute every stage.
+  /// The VM's macro-op fusion peephole (bit-identical results and
+  /// modeled cycles, fewer dispatches). The split flows always run the
+  /// verify gate between decode and the JIT, and always go through the
+  /// content-addressed code cache (jit/CodeCache.h), whose one switch is
+  /// jit::cache::setEnabled; the cache also stands down while a
+  /// fault-injection controller is active.
   bool FuseOps = true;
-  bool UseCodeCache = true;
   /// Native execution tier: compile the vector lowering to host x86-64
   /// (src/codegen) instead of running the cycle-model VM. Bit-exact
   /// against the VM by contract; any native failure (unsupported host,
@@ -105,9 +95,9 @@ struct RunOptions {
   /// and drop the granted align/bounds checks from the VM pre-decode and
   /// the native code. Audit: keep every check live but count instances
   /// where an elidable check's predicate would genuinely have fired
-  /// (the crashtest's soundness sweep). Off: consumer disabled. Elision
-  /// requires the verify gate (VerifyBytecode) -- without it there is no
-  /// certificate and every check stays. Fault-injected runs stand down
+  /// (the crashtest's soundness sweep). Off: consumer disabled. Runs
+  /// that skip the verify gate (a forced-scalar entry) carry no
+  /// certificate and keep every check. Fault-injected runs stand down
   /// from On to Off automatically so an injected fault can never be
   /// masked by an elided check.
   target::ElisionMode Elide = target::ElisionMode::On;
@@ -180,7 +170,8 @@ struct RunOutcome {
   uint64_t AuditBoundsFired = 0;
 
   /// Tier of the degradation chain that actually produced the results in
-  /// Mem. Split flows only; mono flows always report Vectorized.
+  /// Mem. Split flows only; mono flows always report Vectorized, and so
+  /// does a clean SplitScalar run (its module has no vector loop).
   ExecTier Tier = ExecTier::Vectorized;
   /// Tier the chain ENTERED at. Equals the flow's eager entry tier for
   /// plain runs; under RunOptions::Tiered it is the tier the hotness
@@ -234,7 +225,7 @@ struct ModuleWorkload {
 /// ([Native ->] Vectorized -> ScalarJit -> stop). Unlike runKernel there
 /// is no trusted kernel source behind the bytes, so a run that cannot
 /// complete on a JIT tier reports a Terminal Status instead of falling
-/// back to ScalarBytecode/Interpreter -- the interpreter has no deadline
+/// back to the Interpreter -- the interpreter has no deadline
 /// checkpoint, and an unbounded golden-model walk over tenant-supplied
 /// input is exactly the wedged-worker failure mode the service exists to
 /// prevent. Decode failures, verify failures after demotion, and

@@ -62,13 +62,19 @@ TEST(ExecutorTest, CleanRunCyclesMatchPreExecutorPath) {
   EXPECT_EQ(A, B);
 }
 
-TEST(ExecutorTest, SplitScalarFlowReportsScalarBytecodeTier) {
+TEST(ExecutorTest, SplitScalarFlowRunsScalarModuleAtVectorizedTier) {
+  // The scalar flow enters the same chain as the vectorized one; only
+  // its module differs (the source's own bytecode, no vector loop).
   const Kernel K = kernelByName("saxpy_fp");
   RunOptions O;
   O.Target = target::sseTarget();
   RunOutcome Out = runKernel(K, Flow::SplitScalar, O);
-  EXPECT_EQ(Out.Tier, ExecTier::ScalarBytecode);
+  EXPECT_EQ(Out.Tier, ExecTier::Vectorized);
+  EXPECT_FALSE(Out.AnyLoopVectorized);
   EXPECT_TRUE(Out.Demotions.empty());
+  EXPECT_GT(Out.BytecodeBytes, 0u);
+  std::string Err;
+  EXPECT_TRUE(checkAgainstGolden(K, Out, Err)) << Err;
 }
 
 //===--- One edge per test ------------------------------------------------===//
@@ -84,13 +90,15 @@ TEST(ExecutorTest, VerifyFailureDemotesToScalarJit) {
   EXPECT_EQ(Out.Retries, 0u);  // A demotion, not a deopt retry.
 }
 
-TEST(ExecutorTest, JitFailureDemotesToScalarBytecode) {
+TEST(ExecutorTest, JitFailureDemotesToScalarJit) {
   ScopedFault F(SiteClass::JitLower);
   RunOutcome Out = runChecked(kernelByName("saxpy_fp"));
-  EXPECT_EQ(Out.Tier, ExecTier::ScalarBytecode);
+  EXPECT_EQ(Out.Tier, ExecTier::ScalarJit);
   ASSERT_EQ(Out.Demotions.size(), 1u);
   EXPECT_EQ(Out.Demotions[0].layer(), status::Layer::Jit);
   EXPECT_EQ(Out.Demotions[0].code(), status::Code::UnsupportedIdiom);
+  EXPECT_TRUE(Out.Scalarized);
+  EXPECT_EQ(Out.Retries, 0u); // A lowering failure is not a deopt.
 }
 
 TEST(ExecutorTest, VmTrapDeoptimizesToScalarJitAndCountsRetry) {
@@ -106,11 +114,12 @@ TEST(ExecutorTest, VmTrapDeoptimizesToScalarJitAndCountsRetry) {
             std::string::npos);
 }
 
-TEST(ExecutorTest, DecodeFailureDemotesToScalarBytecode) {
+TEST(ExecutorTest, DecodeFailureDemotesToInterpreter) {
+  // One-shot fault: the module is decoded once, so a failed decode
+  // leaves no JIT tier anything to run.
   ScopedFault F(SiteClass::Decode);
   RunOutcome Out = runChecked(kernelByName("saxpy_fp"));
-  // One-shot fault: the scalar re-encode decodes fine.
-  EXPECT_EQ(Out.Tier, ExecTier::ScalarBytecode);
+  EXPECT_EQ(Out.Tier, ExecTier::Interpreter);
   ASSERT_EQ(Out.Demotions.size(), 1u);
   EXPECT_EQ(Out.Demotions[0].layer(), status::Layer::Bytecode);
 }
@@ -119,9 +128,8 @@ TEST(ExecutorTest, StickyDecodeFailureFallsBackToInterpreter) {
   ScopedFault F(SiteClass::Decode, 0, /*Sticky=*/true);
   RunOutcome Out = runChecked(kernelByName("saxpy_fp"));
   EXPECT_EQ(Out.Tier, ExecTier::Interpreter);
-  ASSERT_EQ(Out.Demotions.size(), 2u); // Vectorized + scalar decode.
+  ASSERT_EQ(Out.Demotions.size(), 1u); // Decoded once, sticky or not.
   EXPECT_EQ(Out.Demotions[0].layer(), status::Layer::Bytecode);
-  EXPECT_EQ(Out.Demotions[1].layer(), status::Layer::Bytecode);
   EXPECT_GT(Out.Cycles, 0u); // The dynamic-op proxy still reports cost.
   EXPECT_EQ(Out.BytecodeBytes, 0u); // No JIT consumed any bytecode.
 }
@@ -130,7 +138,44 @@ TEST(ExecutorTest, StickyJitFailureFallsBackToInterpreter) {
   ScopedFault F(SiteClass::JitLower, 0, /*Sticky=*/true);
   RunOutcome Out = runChecked(kernelByName("saxpy_fp"));
   EXPECT_EQ(Out.Tier, ExecTier::Interpreter);
-  ASSERT_EQ(Out.Demotions.size(), 2u);
+  ASSERT_EQ(Out.Demotions.size(), 2u); // Vector, then scalar lowering.
+}
+
+TEST(ExecutorTest, NativeDemotionReusesThePreparedModule) {
+  // Decode and verify run once, before the chain walks: a Native ->
+  // Vectorized demotion re-runs neither.
+  if (!codegen::supported())
+    GTEST_SKIP() << "native tier unsupported on this host";
+  const Kernel K = kernelByName("saxpy_fp");
+  RunOptions O;
+  O.Target = target::sseTarget();
+  O.UseNative = true;
+  ScopedFault F(SiteClass::NativeTrap);
+  RunOutcome Out = runKernel(K, Flow::SplitVectorized, O);
+  EXPECT_EQ(Out.Tier, ExecTier::Vectorized);
+  ASSERT_EQ(Out.Demotions.size(), 1u);
+  EXPECT_EQ(faultinject::hits(SiteClass::Decode), 1u);
+  EXPECT_EQ(faultinject::hits(SiteClass::Verify), 1u);
+  std::string Err;
+  EXPECT_TRUE(checkAgainstGolden(K, Out, Err)) << Err;
+}
+
+TEST(ExecutorTest, NativeEntryVerifyFailureDemotesToScalarJit) {
+  // The gate runs before the chain, so its verdict sends a native-entry
+  // run straight to the forced-scalar JIT, not through the VM.
+  if (!codegen::supported())
+    GTEST_SKIP() << "native tier unsupported on this host";
+  const Kernel K = kernelByName("saxpy_fp");
+  RunOptions O;
+  O.Target = target::sseTarget();
+  O.UseNative = true;
+  ScopedFault F(SiteClass::Verify);
+  RunOutcome Out = runKernel(K, Flow::SplitVectorized, O);
+  EXPECT_EQ(Out.Tier, ExecTier::ScalarJit);
+  ASSERT_EQ(Out.Demotions.size(), 1u);
+  EXPECT_EQ(Out.Demotions[0].layer(), status::Layer::Verify);
+  std::string Err;
+  EXPECT_TRUE(checkAgainstGolden(K, Out, Err)) << Err;
 }
 
 //===--- Chain composition ------------------------------------------------===//
@@ -197,9 +242,9 @@ TEST(ExecutorTest, GoldenMismatchErrorNamesTheExecutedTier) {
 }
 
 TEST(ExecutorTest, TierNamesAreStable) {
+  EXPECT_STREQ(tierName(ExecTier::Native), "native");
   EXPECT_STREQ(tierName(ExecTier::Vectorized), "vectorized");
   EXPECT_STREQ(tierName(ExecTier::ScalarJit), "scalar-jit");
-  EXPECT_STREQ(tierName(ExecTier::ScalarBytecode), "scalar-bytecode");
   EXPECT_STREQ(tierName(ExecTier::Interpreter), "interpreter");
 }
 

@@ -45,6 +45,19 @@ TEST(FusionMatrix, SweepShape) {
   EXPECT_EQ(target::allTargets().size(), 5u);
 }
 
+/// Turns the code cache off for one scope and restores the previous
+/// switch afterwards.
+class CacheOff {
+public:
+  CacheOff() : Prev(jit::cache::setEnabled(false)) {}
+  ~CacheOff() { jit::cache::setEnabled(Prev); }
+  CacheOff(const CacheOff &) = delete;
+  CacheOff &operator=(const CacheOff &) = delete;
+
+private:
+  bool Prev;
+};
+
 RunOutcome runSplit(const kernels::Kernel &K, const TargetDesc &T,
                     bool Fuse) {
   RunOptions O;
@@ -52,7 +65,7 @@ RunOutcome runSplit(const kernels::Kernel &K, const TargetDesc &T,
   O.FuseOps = Fuse;
   // Force every stage to execute: a cache hit would hand both runs the
   // same pre-decoded program and make the comparison vacuous.
-  O.UseCodeCache = false;
+  CacheOff NoCache;
   return runKernel(K, Flow::SplitVectorized, O);
 }
 

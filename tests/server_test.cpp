@@ -50,10 +50,7 @@ server::RunRequest sampleRequest() {
   R.Tenant = "tenant-x";
   R.Name = "dissolve_s8";
   R.Target = "sse";
-  R.UseNative = false;
-  R.VerifyBytecode = true;
-  R.UseCodeCache = true;
-  R.Elide = 1;
+  R.UseNative = true;
   R.DeadlineFuel = 12345;
   R.FillSeed = 9;
   R.IntParams["n"] = 64;
@@ -72,9 +69,7 @@ TEST(ProtocolTest, RunRequestRoundTrip) {
   EXPECT_EQ(Out.Tenant, R.Tenant);
   EXPECT_EQ(Out.Name, R.Name);
   EXPECT_EQ(Out.Target, R.Target);
-  EXPECT_EQ(Out.VerifyBytecode, R.VerifyBytecode);
-  EXPECT_EQ(Out.UseCodeCache, R.UseCodeCache);
-  EXPECT_EQ(Out.Elide, R.Elide);
+  EXPECT_EQ(Out.UseNative, R.UseNative);
   EXPECT_EQ(Out.Inject, R.Inject);
   EXPECT_EQ(Out.DeadlineFuel, R.DeadlineFuel);
   EXPECT_EQ(Out.FillSeed, R.FillSeed);
@@ -172,20 +167,47 @@ TEST(ProtocolTest, OverlongTenantNameIsMalformed) {
 }
 
 TEST(ProtocolTest, BadEnumFieldsAreMalformed) {
-  {
-    server::RunRequest R = sampleRequest();
-    R.Elide = 3; // Past ElisionMode::Audit.
-    std::vector<uint8_t> P = server::encodeRunRequest(R);
+  server::RunRequest R = sampleRequest();
+  R.Inject = 200; // Not 0xff, not a SiteClass.
+  std::vector<uint8_t> P = server::encodeRunRequest(R);
+  server::RunRequest Out;
+  EXPECT_FALSE(server::decodeRunRequest(P.data(), P.size(), Out).ok());
+}
+
+TEST(ProtocolTest, RequestFlagBitsBeyondUseNativeAreMalformed) {
+  // The flags byte follows RequestId and the three strings. Only bit 0
+  // (UseNative) exists: a client cannot switch the verify gate or the
+  // code cache off for its own run.
+  server::RunRequest R = sampleRequest();
+  std::vector<uint8_t> P = server::encodeRunRequest(R);
+  const size_t FlagsAt = 8 + 4 + R.Tenant.size() + 4 + R.Name.size() + 4 +
+                         R.Target.size();
+  ASSERT_EQ(P[FlagsAt], 1u);
+  for (unsigned Bit = 1; Bit < 8; ++Bit) {
+    std::vector<uint8_t> Bad = P;
+    Bad[FlagsAt] |= static_cast<uint8_t>(1u << Bit);
     server::RunRequest Out;
-    EXPECT_FALSE(server::decodeRunRequest(P.data(), P.size(), Out).ok());
+    Status St = server::decodeRunRequest(Bad.data(), Bad.size(), Out);
+    ASSERT_FALSE(St.ok()) << "flag bit " << Bit << " decoded";
+    EXPECT_EQ(St.code(), status::Code::MalformedFrame);
   }
-  {
-    server::RunRequest R = sampleRequest();
-    R.Inject = 200; // Not 0xff, not a SiteClass.
-    std::vector<uint8_t> P = server::encodeRunRequest(R);
-    server::RunRequest Out;
-    EXPECT_FALSE(server::decodeRunRequest(P.data(), P.size(), Out).ok());
-  }
+}
+
+TEST(ProtocolTest, ResponseTierOutsideExecTierIsMalformed) {
+  // A client names the tier with tierName(), which has no value past
+  // ExecTier::Interpreter; the decoder must refuse the byte instead.
+  server::RunResponse R;
+  R.Tier = static_cast<uint8_t>(ExecTier::Interpreter);
+  std::vector<uint8_t> P = server::encodeRunResponse(R);
+  server::RunResponse Out;
+  ASSERT_TRUE(server::decodeRunResponse(P.data(), P.size(), Out).ok());
+  EXPECT_EQ(Out.Tier, R.Tier);
+
+  R.Tier = 4;
+  P = server::encodeRunResponse(R);
+  Status St = server::decodeRunResponse(P.data(), P.size(), Out);
+  ASSERT_FALSE(St.ok());
+  EXPECT_EQ(St.code(), status::Code::MalformedFrame);
 }
 
 TEST(ProtocolTest, DeterministicGarbageNeverCrashesDecoders) {

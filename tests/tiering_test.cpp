@@ -49,7 +49,10 @@ namespace {
 // vapor::ExecTier); the unit tests mirror that. Values match ExecTier.
 constexpr uint8_t TVec = 1;
 constexpr uint8_t TScalarJit = 2;
-constexpr uint8_t TInterp = 4;
+constexpr uint8_t TInterp = 3;
+static_assert(TVec == static_cast<uint8_t>(vapor::ExecTier::Vectorized) &&
+              TScalarJit == static_cast<uint8_t>(vapor::ExecTier::ScalarJit) &&
+              TInterp == static_cast<uint8_t>(vapor::ExecTier::Interpreter));
 
 Config smallConfig() {
   Config C;

@@ -18,7 +18,7 @@
 // asserts the degradation contract. With --native the chain is entered
 // at the Native tier instead (host x86-64 codegen above the VM); a
 // native failure demotes to Vectorized without counting as a retry, so
-// the oracle for every fault class shifts accordingly, and the
+// a one-shot JIT-lowering fault settles one tier higher, and the
 // interpreter still terminates the chain. On hosts where the native
 // tier is unsupported (non-x86-64 or -DVAPOR_NATIVE=OFF) --native
 // prints a notice and sweeps the ordinary chain instead, so CI stays
@@ -33,8 +33,9 @@
 //
 // Injected cases per kernel x target: for each site class, a one-shot
 // fault at sampled dynamic sites (first / middle / last occurrence) plus
-// a sticky fault that fires at every occurrence — the sticky decode and
-// JIT faults are what push runs all the way down to the interpreter.
+// a sticky fault that fires at every occurrence — decode faults and
+// sticky JIT faults are what push runs all the way down to the
+// interpreter.
 //
 // Exit status is the number of failed cases (0 = contract holds).
 // --json writes a machine-readable summary (BENCH_crashtest.json).
@@ -71,13 +72,16 @@ using faultinject::SiteClass;
 
 namespace {
 
+constexpr unsigned NumTiers =
+    static_cast<unsigned>(ExecTier::Interpreter) + 1;
+
 struct Stats {
   uint64_t Cases = 0;
   uint64_t Failures = 0;
   uint64_t Fired = 0;
   uint64_t Retries = 0;
   uint64_t Demotions = 0;
-  uint64_t TierCount[5] = {}; ///< Indexed by ExecTier.
+  uint64_t TierCount[NumTiers] = {}; ///< Indexed by ExecTier.
   /// --audit: genuine would-have-fired counts of elision-granted checks,
   /// summed across every case. Soundness demands both stay zero.
   uint64_t AuditAlign = 0;
@@ -86,65 +90,45 @@ struct Stats {
 
 /// The tier each fault class must demote the split-vectorized flow to
 /// when it actually fires (the crashtest's honesty oracle; mirrors the
-/// chain documented in vapor/Executor.h).
+/// chain documented in vapor/Executor.h). The module is decoded and
+/// verified once, before the chain walks, so decode and verify faults
+/// land on the same tier whether they are one-shot or sticky, and
+/// whether the run entered at Native or at Vectorized.
 ExecTier expectedTier(SiteClass S, bool Sticky, bool Native) {
-  if (Native) {
-    // Entering at the Native tier adds one demotion hop: any failure
-    // during the native attempt (including its shared prepare and JIT
-    // stages) falls back to Vectorized, which re-runs those stages
-    // deterministically. A one-shot fault is spent by then, so the
-    // chain settles one tier higher than the classic oracle; a sticky
-    // fault keeps firing and lands exactly where it always did.
-    switch (S) {
-    case SiteClass::Decode:
-      return Sticky ? ExecTier::Interpreter : ExecTier::Vectorized;
-    case SiteClass::Verify:
-      return Sticky ? ExecTier::ScalarJit : ExecTier::Vectorized;
-    case SiteClass::JitLower:
-      return Sticky ? ExecTier::Interpreter : ExecTier::Vectorized;
-    case SiteClass::VmAlign:
-      // Unreachable from the native entry: the cycle-model VM's checked
-      // accesses never execute unless something else already demoted.
-      return ExecTier::ScalarJit;
-    case SiteClass::NativeTrap:
-      // The trap is in the native binding only; the VM re-runs the same
-      // vector lowering cleanly, and sticky does not matter because the
-      // site class never fires again below Native.
-      return ExecTier::Vectorized;
-    case SiteClass::Deadline:
-    case SiteClass::QueueFull:
-    case SiteClass::SocketIo:
-      // Server-side site classes: their sites only exist under a fueled
-      // run or inside the execution service, so classic sweeps count
-      // zero hits and skip them (Classes[] below never lists them).
-      return ExecTier::Native;
-    }
-    return ExecTier::Interpreter;
-  }
   switch (S) {
   case SiteClass::Decode:
-    // One-shot: the scalar re-encode decodes fine. Sticky: the
-    // interchange layer itself is broken; only the interpreter is left.
-    return Sticky ? ExecTier::Interpreter : ExecTier::ScalarBytecode;
+    // No module to JIT: straight to the floor.
+    return ExecTier::Interpreter;
   case SiteClass::Verify:
     // The gate rejected a vector lowering; forced-scalar JIT is safe.
     return ExecTier::ScalarJit;
   case SiteClass::JitLower:
-    return Sticky ? ExecTier::Interpreter : ExecTier::ScalarBytecode;
+    // One-shot: a failed native lowering falls back to the VM, which
+    // lowers again cleanly; a failed VM lowering goes to the
+    // forced-scalar re-JIT. Sticky: every lowering fails, ScalarJit's
+    // too, and only the interpreter is left.
+    if (Sticky)
+      return ExecTier::Interpreter;
+    return Native ? ExecTier::Vectorized : ExecTier::ScalarJit;
   case SiteClass::VmAlign:
     // Runtime trap -> deoptimizing re-JIT. Scalar code has no checked
-    // accesses, so even a sticky fault cannot re-fire.
+    // accesses, so even a sticky fault cannot re-fire. Unreachable from
+    // the native entry: the VM's checked accesses never execute unless
+    // something else already demoted.
     return ExecTier::ScalarJit;
   case SiteClass::NativeTrap:
-    // The native engine never runs in the classic sweep; hit counts for
-    // this class are always zero and the case is skipped.
+    // The trap is in the native binding only; the VM re-runs the same
+    // vector lowering cleanly, and sticky does not matter because the
+    // site class never fires again below Native. The classic sweep
+    // never runs the native engine and counts zero hits.
     return ExecTier::Vectorized;
   case SiteClass::Deadline:
   case SiteClass::QueueFull:
   case SiteClass::SocketIo:
-    // Server-side classes; never hit in the classic sweep (no fuel is
-    // armed and no admission gate runs here).
-    return ExecTier::Vectorized;
+    // Server-side site classes: their sites only exist under a fueled
+    // run or inside the execution service, so these sweeps count zero
+    // hits and skip them (Classes[] below never lists them).
+    return Native ? ExecTier::Native : ExecTier::Vectorized;
   }
   return ExecTier::Interpreter;
 }
@@ -354,11 +338,11 @@ void writeJson(const char *Path, const Stats &S, size_t Kernels,
   std::fprintf(F, "  \"deopt_retries\": %llu,\n",
                (unsigned long long)S.Retries);
   std::fprintf(F, "  \"tier_distribution\": {\n");
-  const char *Names[5] = {"native", "vectorized", "scalar-jit",
-                          "scalar-bytecode", "interpreter"};
-  for (unsigned I = 0; I < 5; ++I)
-    std::fprintf(F, "    \"%s\": %llu%s\n", Names[I],
-                 (unsigned long long)S.TierCount[I], I + 1 < 5 ? "," : "");
+  for (unsigned I = 0; I < NumTiers; ++I)
+    std::fprintf(F, "    \"%s\": %llu%s\n",
+                 tierName(static_cast<ExecTier>(I)),
+                 (unsigned long long)S.TierCount[I],
+                 I + 1 < NumTiers ? "," : "");
   std::fprintf(F, "  }\n}\n");
   std::fclose(F);
   std::printf("wrote %s\n", Path);
@@ -486,7 +470,7 @@ int main(int argc, char **argv) {
     S.Demotions += Local.Demotions;
     S.AuditAlign += Local.AuditAlign;
     S.AuditBounds += Local.AuditBounds;
-    for (unsigned I = 0; I < 5; ++I)
+    for (unsigned I = 0; I < NumTiers; ++I)
       S.TierCount[I] += Local.TierCount[I];
   });
 
@@ -495,13 +479,11 @@ int main(int argc, char **argv) {
               (unsigned long long)S.Cases, (unsigned long long)S.Fired,
               (unsigned long long)S.Demotions, (unsigned long long)S.Retries,
               (unsigned long long)S.Failures);
-  std::printf("tiers: native=%llu vectorized=%llu scalar-jit=%llu "
-              "scalar-bytecode=%llu interpreter=%llu\n",
-              (unsigned long long)S.TierCount[0],
-              (unsigned long long)S.TierCount[1],
-              (unsigned long long)S.TierCount[2],
-              (unsigned long long)S.TierCount[3],
-              (unsigned long long)S.TierCount[4]);
+  std::printf("tiers:");
+  for (unsigned I = 0; I < NumTiers; ++I)
+    std::printf(" %s=%llu", tierName(static_cast<ExecTier>(I)),
+                (unsigned long long)S.TierCount[I]);
+  std::printf("\n");
   if (Audit)
     std::printf("audit: %llu align + %llu bounds elided-eligible checks "
                 "would have fired (soundness requires 0 + 0)\n",
