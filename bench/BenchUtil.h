@@ -17,6 +17,7 @@
 
 #include "obs/Obs.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <memory>
@@ -79,6 +80,29 @@ inline double geoMean(const std::vector<double> &Xs) {
   for (double X : Xs)
     S += std::log(X);
   return std::exp(S / static_cast<double>(Xs.size()));
+}
+
+/// Median and interquartile range of a sample of repeated trials -- the
+/// centre and spread a timed bench publishes.
+struct Spread {
+  double Median = 0;
+  double Iqr = 0;
+};
+
+/// Quantile \p Q of the sorted sample \p Xs (linear interpolation).
+inline double quantileSorted(const std::vector<double> &Xs, double Q) {
+  if (Xs.empty())
+    return 0;
+  double Pos = Q * static_cast<double>(Xs.size() - 1);
+  size_t Lo = static_cast<size_t>(Pos);
+  size_t Hi = std::min(Lo + 1, Xs.size() - 1);
+  return Xs[Lo] + (Xs[Hi] - Xs[Lo]) * (Pos - static_cast<double>(Lo));
+}
+
+inline Spread medianIqr(std::vector<double> Xs) {
+  std::sort(Xs.begin(), Xs.end());
+  return {quantileSorted(Xs, 0.5),
+          quantileSorted(Xs, 0.75) - quantileSorted(Xs, 0.25)};
 }
 
 } // namespace bench

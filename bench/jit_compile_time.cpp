@@ -16,7 +16,8 @@
 //
 // --json writes the machine-readable cache baseline (BENCH_jit.json by
 // default). Use --benchmark_filter=NONE to skip the timed micro-runs
-// and only produce the summaries.
+// and only produce the summaries. VAPOR_TRACE=<path> writes the Chrome
+// trace of the run.
 //
 //===----------------------------------------------------------------------===//
 
@@ -245,6 +246,9 @@ int main(int argc, char **argv) {
     }
   }
   int BenchArgc = static_cast<int>(Args.size());
+  // VAPOR_TRACE=<path> records the cold/warm pairs: only the cold run of
+  // each pair carries decode, verify, compile and elision_plan spans.
+  auto Sink = bench::traceSinkFromEnv();
 
   registerAll();
   benchmark::Initialize(&BenchArgc, Args.data());

@@ -32,21 +32,15 @@
 //===----------------------------------------------------------------------===//
 
 #include "bench/BenchUtil.h"
-#include "bytecode/Bytecode.h"
 #include "codegen/NativeJit.h"
-#include "jit/Elision.h"
 #include "support/Support.h"
 #include "target/VM.h"
-#include "vapor/FillAdapters.h"
 #include "vapor/Pipeline.h"
 #include "vapor/Sweep.h"
-#include "vectorizer/Vectorizer.h"
-#include "verify/Verify.h"
 
 #include <chrono>
 #include <cstring>
 #include <fstream>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -97,38 +91,6 @@ struct Cell {
   uint64_t PackedOps = 0;
   bool Saturating = false;
 };
-
-/// Rebuilds the elision plan the executor would grant for (K, T, Mem):
-/// same decode, same verifier certificate, same parameter bindings.
-target::ElisionPlan elisionPlanFor(const kernels::Kernel &K,
-                                   const target::TargetDesc &T,
-                                   const target::MemoryImage &Mem) {
-  auto VR = vectorizer::vectorize(K.Source, {});
-  std::vector<uint8_t> Enc = bytecode::encode(VR.Output);
-  std::string Err;
-  auto Dec = bytecode::decode(Enc, Err);
-  if (!Dec)
-    fatalError("decode failed for " + K.Name + ": " + Err);
-  verify::VerifyOptions VO;
-  VO.Targets = {T};
-  verify::Report Rep = verify::verifyModule(*Dec, VO);
-  target::ElisionPlan Plan; // Mode Off when nothing was certified.
-  if (!Rep.ok() || Rep.Certificates.empty())
-    return Plan;
-  std::map<std::string, int64_t> IntVals;
-  detail::setParams(
-      K, *Dec, [&](const std::string &N, int64_t V) { IntVals[N] = V; },
-      [](const std::string &, double) {});
-  analysis::ParamFn PF =
-      [&IntVals](const std::string &N) -> std::optional<int64_t> {
-    auto It = IntVals.find(N);
-    if (It != IntVals.end())
-      return It->second;
-    return std::nullopt; // FP-bound: no integer value.
-  };
-  return jit::buildElisionPlan(*Dec, &Rep.Certificates.front(), T, Mem,
-                               target::ElisionMode::On, PF);
-}
 
 } // namespace
 
@@ -224,13 +186,12 @@ int main(int argc, char **argv) {
         fatalError("native run trapped for " + K.Name + " on " + TName);
       double NativeNsPerRun = timeRuns([&] { Exec.run(); }, Secs);
 
-      // Elided native side: the checked certificate's grants baked in.
-      target::ElisionPlan Plan = elisionPlanFor(K, T, *Out.Mem);
-      const target::ElisionPlan *PlanPtr =
-          Plan.Mode != target::ElisionMode::Off ? &Plan : nullptr;
-      C.ElidedChecks = Plan.AlignElided + Plan.BoundsElided;
+      // Elided native side: the grants of the plan the executor checked
+      // for this run's placement, baked in.
+      C.ElidedChecks =
+          Out.elision().AlignElided + Out.elision().BoundsElided;
       codegen::NativeOptions NOE;
-      NOE.Plan = PlanPtr;
+      NOE.Plan = Out.Elision.get();
       auto NUE = codegen::compileNative(Out.Code, T, *Out.Mem, NOE);
       if (!NUE.ok())
         fatalError("elided compileNative failed for " + K.Name + " on " +

@@ -20,7 +20,9 @@
 //
 // The headline ns_per_dispatched_op (the perf gate's metric,
 // scripts/perf_gate.py) is aligned split-vectorized saxpy_fp on sse with
-// fusion ON -- the configuration every sweep actually runs. Timing runs
+// fusion ON -- the configuration every sweep actually runs. Every cell
+// runs an untimed warm-up window first, then times 16-run batches; its
+// ns/op is the median batch and its spread the batches' IQR. Timing runs
 // are serial on purpose (wall-clock timing under an oversubscribed pool
 // measures contention, not dispatch); only the deterministic Fig. 6
 // cycle sweep uses the thread pool.
@@ -45,15 +47,23 @@ namespace {
 
 struct Throughput {
   double OpsPerSec = 0;
-  double NsPerOp = 0;
+  double NsPerOp = 0; ///< Median over the timed 16-run batches.
+  double NsIqr = 0;   ///< Interquartile range of the same batches.
   uint64_t OpsPerRun = 0;
   uint32_t PreFusionOps = 0; ///< Static ops before the peephole.
   uint32_t SuperOps = 0;     ///< Superops the peephole emitted.
 };
 
-/// Replays one prepared kernel execution until \p Seconds of wall time
-/// has accumulated and \returns dispatch-loop throughput. \p Fuse
-/// selects whether the measured program ran the fusion peephole.
+/// Untimed replay before every cell's measurement: brings the cell's
+/// program, memory image and dispatch targets into the CPU caches and
+/// the core out of its idle clock, so the first cell timed is not the
+/// cold one.
+constexpr double WarmupSeconds = 0.05;
+
+/// Replays one prepared kernel execution in 16-run batches until \p
+/// Seconds of timed wall time has accumulated (after the warm-up window)
+/// and \returns the median and IQR of the batches' ns per dispatched op.
+/// \p Fuse selects whether the measured program ran the fusion peephole.
 Throughput measure(const RunOutcome &Out, const target::TargetDesc &T,
                    const kernels::Kernel &K, bool Fuse,
                    double Seconds = 0.5) {
@@ -65,23 +75,31 @@ Throughput measure(const RunOutcome &Out, const target::TargetDesc &T,
   for (const auto &P : K.FPParams)
     M.setParamFP(P.first, P.second);
 
-  M.run(); // Warm-up; also gives the per-run op count.
+  M.run(); // Also gives the per-run op count.
   uint64_t OpsPerRun = M.instrsExecuted();
 
   using Clock = std::chrono::steady_clock;
-  uint64_t Runs = 0;
-  auto Start = Clock::now();
+  auto Since = [](Clock::time_point T0) {
+    return std::chrono::duration<double>(Clock::now() - T0).count();
+  };
+  for (auto W0 = Clock::now(); Since(W0) < WarmupSeconds;)
+    M.run();
+
+  const double BatchOps = static_cast<double>(OpsPerRun) * 16.0;
+  std::vector<double> BatchNs;
   double Elapsed = 0;
   do {
+    auto B0 = Clock::now();
     for (int I = 0; I < 16; ++I)
       M.run();
-    Runs += 16;
-    Elapsed = std::chrono::duration<double>(Clock::now() - Start).count();
+    double Secs = Since(B0);
+    BatchNs.push_back(Secs * 1e9 / BatchOps);
+    Elapsed += Secs;
   } while (Elapsed < Seconds);
 
-  double Ops = static_cast<double>(OpsPerRun) * static_cast<double>(Runs);
-  return {Ops / Elapsed, Elapsed * 1e9 / Ops, OpsPerRun,
-          Prog->PreFusionOps, Prog->FusedOps};
+  Spread S = medianIqr(std::move(BatchNs));
+  return {1e9 / S.Median, S.Median, S.Iqr, OpsPerRun, Prog->PreFusionOps,
+          Prog->FusedOps};
 }
 
 /// Measures the fused program's dispatch cost in the default observability
@@ -209,19 +227,26 @@ int main(int argc, char **argv) {
 
   printHeader("VM dispatch throughput (split-vectorized, strong tier, "
               "fused vs unfused)");
-  std::printf("%-12s %-6s %10s %12s %12s %9s %9s\n", "kernel", "target",
-              "ops/run", "ns/op-unf", "ns/op-fus", "superops", "speedup");
+  std::printf("(ns/op: median of 16-run batches after a %.0f ms warm-up; "
+              "iqr: their interquartile range)\n",
+              WarmupSeconds * 1e3);
+  std::printf("%-12s %-6s %10s %12s %8s %12s %8s %9s %9s\n", "kernel",
+              "target", "ops/run", "ns/op-unf", "iqr", "ns/op-fus", "iqr",
+              "superops", "speedup");
   for (const Cell &C : Cells)
-    std::printf("%-12s %-6s %10llu %12.3f %12.3f %4u/%-4u %8.1f%%\n",
+    std::printf("%-12s %-6s %10llu %12.3f %8.3f %12.3f %8.3f %4u/%-4u "
+                "%8.1f%%\n",
                 C.Kernel.c_str(), C.Target.c_str(),
                 static_cast<unsigned long long>(C.Fused.OpsPerRun),
-                C.Unfused.NsPerOp, C.Fused.NsPerOp, C.Fused.SuperOps,
+                C.Unfused.NsPerOp, C.Unfused.NsIqr, C.Fused.NsPerOp,
+                C.Fused.NsIqr, C.Fused.SuperOps,
                 C.Fused.PreFusionOps,
                 100.0 * (C.Unfused.NsPerOp - C.Fused.NsPerOp) /
                     C.Unfused.NsPerOp);
   std::printf("\nheadline (saxpy_fp, sse, fused):\n");
   std::printf("machine ops / sec     %12.3e\n", Headline.Fused.OpsPerSec);
-  std::printf("ns / dispatched op    %12.2f\n", Headline.Fused.NsPerOp);
+  std::printf("ns / dispatched op    %12.2f  (iqr %.3f)\n",
+              Headline.Fused.NsPerOp, Headline.Fused.NsIqr);
   std::printf("ns / op, obs idle     %12.2f\n", NsObsIdle);
   std::printf("ns / op, obs off      %12.2f  (tracing overhead %+.2f%%)\n",
               NsObsOff, 100.0 * (NsObsIdle - NsObsOff) / NsObsOff);
@@ -245,11 +270,15 @@ int main(int argc, char **argv) {
                 "  \"target\": \"sse\",\n"
                 "  \"fused\": true,\n"
                 "  \"vm_ops_per_sec\": %.4e,\n"
+                "  \"estimator\": \"median of 16-run batches after a "
+                "%.0f ms warm-up\",\n"
                 "  \"ns_per_dispatched_op\": %.3f,\n"
+                "  \"ns_per_dispatched_op_iqr\": %.3f,\n"
                 "  \"ns_per_op_obs_idle\": %.3f,\n"
                 "  \"ns_per_op_obs_off\": %.3f,\n"
                 "  \"cells\": [\n",
-                Headline.Fused.OpsPerSec, Headline.Fused.NsPerOp, NsObsIdle,
+                Headline.Fused.OpsPerSec, WarmupSeconds * 1e3,
+                Headline.Fused.NsPerOp, Headline.Fused.NsIqr, NsObsIdle,
                 NsObsOff);
   OS << Buf;
   for (size_t I = 0; I < Cells.size(); ++I) {
@@ -257,9 +286,11 @@ int main(int argc, char **argv) {
     std::snprintf(Buf, sizeof(Buf),
                   "    {\"kernel\": \"%s\", \"target\": \"%s\", "
                   "\"ns_per_op_unfused\": %.3f, \"ns_per_op_fused\": %.3f, "
+                  "\"iqr_unfused\": %.3f, \"iqr_fused\": %.3f, "
                   "\"static_ops\": %u, \"superops\": %u}%s\n",
                   C.Kernel.c_str(), C.Target.c_str(), C.Unfused.NsPerOp,
-                  C.Fused.NsPerOp, C.Fused.PreFusionOps, C.Fused.SuperOps,
+                  C.Fused.NsPerOp, C.Unfused.NsIqr, C.Fused.NsIqr,
+                  C.Fused.PreFusionOps, C.Fused.SuperOps,
                   I + 1 < Cells.size() ? "," : "");
     OS << Buf;
   }

@@ -101,12 +101,26 @@ Three modes:
                        perf_gate.py --elision-floor native_current.json \
                            --audit-json audit.json
 
+  --crashtest          checks a ``vapor-crashtest --json`` report
+                       (crashtest.json, BENCH_crashtest.json) against the
+                       kernel registry: its "kernels" count must equal
+                       kernels::ExpectedKernelCount, read from
+                       src/kernels/Kernels.h (--kernels-header). A report
+                       from a sweep that lost or gained kernels describes
+                       a different suite, so it fails instead of passing
+                       silently:
+                       perf_gate.py --crashtest crashtest.json
+
 Exit status: 0 pass, 1 regression, 2 bad input.
 """
 
 import argparse
 import json
+import os
+import re
 import sys
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def load(path):
@@ -146,6 +160,22 @@ def native_gate_applies(report, path, allow_missing):
           f"measuring host (features: {report.get('cpu_features', '?')}); "
           "nothing to gate (--allow-missing)")
     return False
+
+
+def expected_kernel_count(header):
+    """kernels::ExpectedKernelCount as declared in *header*."""
+    try:
+        with open(header, "r", encoding="utf-8") as f:
+            text = f.read()
+    except OSError as e:
+        print(f"perf_gate: cannot read {header}: {e}", file=sys.stderr)
+        sys.exit(2)
+    m = re.search(r"\bExpectedKernelCount\s*=\s*(\d+)\s*;", text)
+    if not m:
+        print(f"perf_gate: {header} declares no ExpectedKernelCount",
+              file=sys.stderr)
+        sys.exit(2)
+    return int(m.group(1))
 
 
 def headline_cell(report):
@@ -215,7 +245,39 @@ def main():
     ap.add_argument("--tiering-steady-cell-min", type=float, default=0.85,
                     help="minimum per-cell steady-state ratio "
                          "(default 0.85)")
+    ap.add_argument("--crashtest", action="store_true",
+                    help="check a vapor-crashtest --json report's kernel "
+                         "count against kernels::ExpectedKernelCount")
+    ap.add_argument("--kernels-header",
+                    default=os.path.join(REPO_ROOT, "src", "kernels",
+                                         "Kernels.h"),
+                    help="header declaring ExpectedKernelCount (default: "
+                         "this tree's src/kernels/Kernels.h)")
     args = ap.parse_args()
+
+    if args.crashtest:
+        path = args.current or args.baseline
+        report = load(path)
+        if report.get("suite") != "vapor-crashtest":
+            print(f"perf_gate: {path} is not a vapor-crashtest report",
+                  file=sys.stderr)
+            sys.exit(2)
+        kernels = report.get("kernels")
+        if not isinstance(kernels, int) or kernels < 0:
+            print(f"perf_gate: {path} has no usable kernel count",
+                  file=sys.stderr)
+            sys.exit(2)
+        want = expected_kernel_count(args.kernels_header)
+        verdict = "PASS" if kernels == want else "FAIL"
+        print(f"perf_gate: {verdict}: {path} covers {kernels} kernels "
+              f"(ExpectedKernelCount {want}), "
+              f"{report.get('cases', '?')} cases")
+        if kernels != want:
+            print("perf_gate: the crashtest report does not cover the "
+                  "kernel registry; regenerate it with the current tree",
+                  file=sys.stderr)
+            sys.exit(1)
+        sys.exit(0)
 
     if args.tiering_floor:
         path = args.current or args.baseline

@@ -25,9 +25,9 @@ namespace {
 constexpr uint64_t FnvOffset = 0xcbf29ce484222325ULL;
 constexpr uint64_t FnvPrime = 0x100000001b3ULL;
 
-/// Which of the five maps an LRU node's key lives in (eviction needs to
+/// Which of the six maps an LRU node's key lives in (eviction needs to
 /// erase from the right one).
-enum class EKind : uint8_t { Module, Verify, Compile, Program, Native };
+enum class EKind : uint8_t { Module, Verify, Compile, Plan, Program, Native };
 
 /// One node of the unified recency list: enough to erase the entry and
 /// refund its charge when it falls off the cold end.
@@ -54,17 +54,25 @@ struct TenantUsage {
   uint64_t Evictions = 0;
 };
 
-/// One mutex-guarded store for all five maps plus the recency list and
+/// A decoded module with its ir::hashFunction, hashed once at insertion.
+struct ModuleEntry {
+  std::shared_ptr<const ir::Function> Fn;
+  uint64_t FnHash = 0;
+};
+
+/// One mutex-guarded store for all six maps plus the recency list and
 /// the capacity accounting: lookups are a hash plus a map probe, far off
 /// any per-dispatch hot path, so a single lock is simpler than six and
 /// contention is irrelevant at sweep granularity.
 struct Store {
   std::mutex Mu;
-  std::unordered_map<uint64_t, Entry<std::shared_ptr<const ir::Function>>>
-      Modules;
+  std::unordered_map<uint64_t, Entry<ModuleEntry>> Modules;
   std::unordered_map<uint64_t, Entry<VerifyResult>> Verifies;
   std::unordered_map<uint64_t, Entry<std::shared_ptr<const CompileResult>>>
       Compiles;
+  std::unordered_map<uint64_t,
+                     Entry<std::shared_ptr<const target::ElisionPlan>>>
+      Plans;
   std::unordered_map<uint64_t,
                      Entry<std::shared_ptr<const target::DecodedProgram>>>
       Programs;
@@ -93,6 +101,7 @@ struct AtomicStats {
   std::atomic<uint64_t> CompileHits{0}, CompileMisses{0};
   std::atomic<uint64_t> ProgramHits{0}, ProgramMisses{0};
   std::atomic<uint64_t> NativeHits{0}, NativeMisses{0};
+  std::atomic<uint64_t> PlanHits{0}, PlanMisses{0};
   std::atomic<uint64_t> Evictions{0};
   std::atomic<uint64_t> BytesLive{0}; ///< Mirror of Store::BytesLive.
   std::atomic<uint64_t> Capacity{0};  ///< Mirror of Store::Capacity.
@@ -137,6 +146,13 @@ size_t costCompile(const CompileResult &R) {
          R.ScalarizeReason.size();
 }
 
+size_t costPlan(const target::ElisionPlan &P) {
+  size_t C = EntryOverhead + P.Proven.size() + P.CheckerError.size();
+  for (const std::string &D : P.Decisions)
+    C += D.size();
+  return C;
+}
+
 size_t costProgram(const target::DecodedProgram &P) {
   return EntryOverhead +
          P.Code.size() * sizeof(target::DecodedProgram::DOp) +
@@ -147,6 +163,15 @@ size_t costProgram(const target::DecodedProgram &P) {
 size_t costNative(const codegen::NativeUnit &U) {
   return EntryOverhead + U.Stats.CodeBytes +
          U.Shims.size() * sizeof(codegen::NOp);
+}
+
+/// Entries stay resident for as long as the cache keeps them, so they are
+/// stored at exact size: the builders grow their arrays by push_back, and
+/// a moved-in artifact would keep that slack (about a quarter of a compile
+/// result's bytes). Copying trims every nested array; it runs on insertion
+/// only, i.e. on a miss, never on a warm run.
+template <typename T> std::shared_ptr<const T> compact(const T &V) {
+  return std::make_shared<const T>(V);
 }
 
 //===--- LRU plumbing (all called under Store::Mu) ------------------------===//
@@ -168,6 +193,9 @@ void eraseEntry(Store &S, const LruNode &N) {
     break;
   case EKind::Compile:
     S.Compiles.erase(N.Key);
+    break;
+  case EKind::Plan:
+    S.Plans.erase(N.Key);
     break;
   case EKind::Program:
     S.Programs.erase(N.Key);
@@ -244,6 +272,7 @@ void cache::clear() {
   S.Modules.clear();
   S.Verifies.clear();
   S.Compiles.clear();
+  S.Plans.clear();
   S.Programs.clear();
   S.Natives.clear();
   S.Lru.clear();
@@ -316,6 +345,8 @@ Stats cache::stats() {
   S.ProgramMisses = C.ProgramMisses.load(std::memory_order_relaxed);
   S.NativeHits = C.NativeHits.load(std::memory_order_relaxed);
   S.NativeMisses = C.NativeMisses.load(std::memory_order_relaxed);
+  S.PlanHits = C.PlanHits.load(std::memory_order_relaxed);
+  S.PlanMisses = C.PlanMisses.load(std::memory_order_relaxed);
   S.Evictions = C.Evictions.load(std::memory_order_relaxed);
   S.BytesLive = C.BytesLive.load(std::memory_order_relaxed);
   S.CapacityBytes = C.Capacity.load(std::memory_order_relaxed);
@@ -334,6 +365,8 @@ void cache::resetStats() {
   C.ProgramMisses = 0;
   C.NativeHits = 0;
   C.NativeMisses = 0;
+  C.PlanHits = 0;
+  C.PlanMisses = 0;
   C.Evictions = 0;
   // BytesLive/Capacity are state mirrors, not tallies: they survive.
 }
@@ -415,7 +448,8 @@ uint64_t cache::compileKey(uint64_t FnHash, const target::TargetDesc &T,
   return H;
 }
 
-std::shared_ptr<const ir::Function> cache::findModule(uint64_t BytesHash) {
+std::shared_ptr<const ir::Function> cache::findModule(uint64_t BytesHash,
+                                                      uint64_t *FnHash) {
   static obs::Counter Hits("cache.module_hits"),
       Misses("cache.module_misses");
   Store &S = store();
@@ -427,14 +461,19 @@ std::shared_ptr<const ir::Function> cache::findModule(uint64_t BytesHash) {
   }
   touch(S, It->second.It);
   bump(counts().ModuleHits, Hits);
-  return It->second.Value;
+  if (FnHash)
+    *FnHash = It->second.Value.FnHash;
+  return It->second.Value.Fn;
 }
 
 std::shared_ptr<const ir::Function>
-cache::putModule(uint64_t BytesHash, ir::Function Module, size_t Cost) {
+cache::putModule(uint64_t BytesHash, ir::Function Module, size_t Cost,
+                 uint64_t *FnHash) {
   if (Cost == 0)
     Cost = costModule(Module);
-  auto P = std::make_shared<const ir::Function>(std::move(Module));
+  ModuleEntry M;
+  M.FnHash = ir::hashFunction(Module);
+  M.Fn = compact(Module);
   Store &S = store();
   std::lock_guard<std::mutex> L(S.Mu);
   // First writer wins: under the thread pool two workers may decode the
@@ -442,18 +481,20 @@ cache::putModule(uint64_t BytesHash, ir::Function Module, size_t Cost) {
   auto It = S.Modules.find(BytesHash);
   if (It != S.Modules.end()) {
     touch(S, It->second.It);
-    return It->second.Value;
+    M = It->second.Value;
+  } else {
+    LruIt N = charge(S, EKind::Module, BytesHash, Cost);
+    auto &E = S.Modules[BytesHash];
+    E.Value = M;
+    E.It = N;
+    // M keeps the artifact: an entry costlier than the whole capacity is
+    // evicted immediately (served but never resident), which erases the
+    // map node `E` refers into.
+    evictOverCapacity(S);
   }
-  LruIt N = charge(S, EKind::Module, BytesHash, Cost);
-  auto &E = S.Modules[BytesHash];
-  E.Value = std::move(P);
-  E.It = N;
-  // Copy the artifact out before enforcing the bound: an entry costlier
-  // than the whole capacity is evicted immediately (served but never
-  // resident), which erases the map node `E` refers into.
-  auto Ret = E.Value;
-  evictOverCapacity(S);
-  return Ret;
+  if (FnHash)
+    *FnHash = M.FnHash;
+  return M.Fn;
 }
 
 std::optional<VerifyResult> cache::findVerify(uint64_t FnHash,
@@ -476,6 +517,8 @@ std::optional<VerifyResult> cache::findVerify(uint64_t FnHash,
 void cache::putVerify(uint64_t FnHash, uint64_t TargetHash, VerifyResult R) {
   uint64_t Key = hashCombine(hashCombine(0x7666, FnHash), TargetHash);
   size_t Cost = costVerify(R);
+  if (R.Cert)
+    R.Cert = compact(*R.Cert);
   Store &S = store();
   std::lock_guard<std::mutex> L(S.Mu);
   auto It = S.Verifies.find(Key);
@@ -508,7 +551,7 @@ std::shared_ptr<const CompileResult> cache::findCompile(uint64_t Key) {
 std::shared_ptr<const CompileResult> cache::putCompile(uint64_t Key,
                                                        CompileResult R) {
   size_t Cost = costCompile(R);
-  auto P = std::make_shared<const CompileResult>(std::move(R));
+  auto P = compact(R);
   Store &S = store();
   std::lock_guard<std::mutex> L(S.Mu);
   auto It = S.Compiles.find(Key);
@@ -527,11 +570,63 @@ std::shared_ptr<const CompileResult> cache::putCompile(uint64_t Key,
   return Ret;
 }
 
+uint64_t cache::planKey(uint64_t FnHash, const target::TargetDesc &T,
+                        const target::MemoryImage &Image,
+                        target::ElisionMode Mode,
+                        const ParamBindings &Params) {
+  uint64_t H = hashCombine(0x706e, FnHash);
+  H = hashCombine(H, hashTarget(T));
+  H = hashCombine(H, hashPlacement(Image));
+  H = hashCombine(H, static_cast<uint64_t>(Mode));
+  for (const ParamBinding &P : Params) {
+    if (P.IsFP)
+      continue;
+    H = hashBytes(P.Name.data(), P.Name.size(), H);
+    H = hashCombine(H, static_cast<uint64_t>(P.Int));
+  }
+  return H;
+}
+
+std::shared_ptr<const target::ElisionPlan> cache::findPlan(uint64_t Key) {
+  Store &S = store();
+  std::lock_guard<std::mutex> L(S.Mu);
+  static obs::Counter Hits("cache.plan_hits"), Misses("cache.plan_misses");
+  auto It = S.Plans.find(Key);
+  if (It == S.Plans.end()) {
+    bump(counts().PlanMisses, Misses);
+    return nullptr;
+  }
+  touch(S, It->second.It);
+  bump(counts().PlanHits, Hits);
+  return It->second.Value;
+}
+
+std::shared_ptr<const target::ElisionPlan>
+cache::putPlan(uint64_t Key, target::ElisionPlan P) {
+  size_t Cost = costPlan(P);
+  auto Ptr = compact(P);
+  Store &S = store();
+  std::lock_guard<std::mutex> L(S.Mu);
+  auto It = S.Plans.find(Key);
+  if (It != S.Plans.end()) {
+    touch(S, It->second.It);
+    return It->second.Value;
+  }
+  LruIt N = charge(S, EKind::Plan, Key, Cost);
+  auto &E = S.Plans[Key];
+  E.Value = Ptr;
+  E.It = N;
+  // Ptr keeps the artifact: eviction may erase this very entry
+  // (oversized case).
+  evictOverCapacity(S);
+  return Ptr;
+}
+
 namespace {
 
 /// Key contribution of an elision plan. Null and Off-mode plans hash
 /// alike (both decode/compile to the unelided artifact).
-uint64_t planKey(const target::ElisionPlan *Plan) {
+uint64_t grantKey(const target::ElisionPlan *Plan) {
   if (!Plan || Plan->Mode == target::ElisionMode::Off)
     return 0;
   return cache::hashCombine(static_cast<uint64_t>(Plan->Mode), Plan->Hash);
@@ -547,7 +642,7 @@ cache::programFor(uint64_t CompKey, const target::MFunction &Code,
   uint64_t Key = hashCombine(0x7067, CompKey);
   Key = hashCombine(Key, hashPlacement(Image));
   Key = hashCombine(Key, (uint64_t(Weak) << 1) | uint64_t(Fuse));
-  Key = hashCombine(Key, planKey(Plan));
+  Key = hashCombine(Key, grantKey(Plan));
   static obs::Counter Hits("cache.program_hits"),
       Misses("cache.program_misses");
   Store &S = store();
@@ -594,7 +689,7 @@ cache::nativeFor(uint64_t CompKey, const target::MFunction &Code,
   uint64_t Key = hashCombine(0x6e76, CompKey);
   Key = hashCombine(Key, hashPlacement(Image));
   Key = hashCombine(Key, NO.Features.bits());
-  Key = hashCombine(Key, planKey(NO.Plan));
+  Key = hashCombine(Key, grantKey(NO.Plan));
   static obs::Counter Hits("cache.native_hits"),
       Misses("cache.native_misses");
   Store &S = store();

@@ -6,21 +6,33 @@
 ///
 /// \file
 /// A process-wide content-addressed cache for every deterministic product
-/// of the online stage. The bench sweeps and the parallel crashtest
-/// driver run the same (kernel, target, placement) cell over and over;
-/// each cell's decode, verify, JIT lowering, and VM pre-decode+fusion are
-/// pure functions of their inputs, so the cache memoizes all four:
+/// of the online stage. The bench sweeps, the parallel crashtest driver
+/// and the execution service run the same (kernel, target, placement)
+/// cell over and over; each cell's decode, verify, JIT lowering, elision
+/// plan, VM pre-decode+fusion and native emit are pure functions of their
+/// inputs, so the cache memoizes all six:
 ///
 ///   module   key = hash(encoded bytecode bytes)
-///            -> the decoded ir::Function;
+///            -> the decoded ir::Function and its ir::hashFunction,
+///               computed once at insertion;
 ///   verify   key = (ir::hashFunction, target hash)
-///            -> the verifier's verdict and rendered report;
+///            -> the verifier's verdict, rendered report and certificate;
 ///   compile  key = (ir::hashFunction, target hash, jit::Options hash,
 ///                   RuntimeInfo hash)
-///            -> the CompileResult (machine code + scalarization info);
-///   program  key = (compile key, placement hash, weak-tier, fuse)
+///            -> the CompileResult (machine code, scalarization info and
+///               the static loop report);
+///   plan     key = (ir::hashFunction, target hash, placement hash,
+///                   elision mode, integer parameter bindings)
+///            -> the checked target::ElisionPlan (the certificate it
+///               replays is the verify memo's under the same function x
+///               target, so it needs no key field of its own);
+///   program  key = (compile key, placement hash, weak-tier, fuse, plan)
 ///            -> the VM's immutable DecodedProgram, shared by every VM
-///               that runs that code against that placement.
+///               that runs that code against that placement;
+///   native   key = (compile key, placement hash, feature mask, plan)
+///            -> the host x86-64 NativeUnit.
+///
+/// A warm invocation therefore does only layout, fill and execute.
 ///
 /// Keys are structural hashes of VALUES only -- no pointers -- so a hit
 /// is exactly "same bytes in, same artifact out", and results are
@@ -43,6 +55,7 @@
 
 #include "analysis/Certificate.h"
 #include "codegen/NativeJit.h"
+#include "jit/Elision.h"
 #include "jit/Jit.h"
 #include "target/VM.h"
 
@@ -63,7 +76,7 @@ bool enabled();
 /// this to measure cold compiles; tests use it to force both paths.
 bool setEnabled(bool On);
 
-/// Drops every entry (all five maps), the LRU list, and the live-byte
+/// Drops every entry (all six maps), the LRU list, and the live-byte
 /// charges (global and per-tenant). Entries already handed out stay
 /// alive through their shared_ptrs. Eviction/insertion counters keep
 /// their totals (clear() is not an eviction).
@@ -83,6 +96,7 @@ struct Stats {
   uint64_t CompileHits = 0, CompileMisses = 0;
   uint64_t ProgramHits = 0, ProgramMisses = 0;
   uint64_t NativeHits = 0, NativeMisses = 0;
+  uint64_t PlanHits = 0, PlanMisses = 0;
   /// Memory-bound telemetry (capacity-driven LRU eviction; see
   /// setCapacity). BytesLive counts the approximate cost of resident
   /// entries; Evictions counts entries dropped to stay under the bound.
@@ -98,7 +112,7 @@ void resetStats();
 // Every entry carries an approximate byte cost (machine-code bytes,
 // decoded-op array sizes, report lengths -- see the cost functions in
 // CodeCache.cpp). With a nonzero capacity the cache maintains one
-// recency list across all five maps and evicts from the cold end,
+// recency list across all six maps and evicts from the cold end,
 // cheapest-to-keep last: a find refreshes recency, an insert charges its
 // cost and then evicts least-recently-used entries (of any kind) until
 // the total is back under the bound. Capacity 0 (the default) disables
@@ -118,7 +132,7 @@ size_t capacity();
 //
 // The execution service attributes cache residency to the tenant whose
 // request inserted each entry. Attribution is ambient (a thread-local
-// tenant name) so the five insert paths need no signature change; the
+// tenant name) so the six insert paths need no signature change; the
 // empty name is the anonymous/default tenant every non-server caller
 // charges to.
 
@@ -185,13 +199,19 @@ uint64_t hashCombine(uint64_t Seed, uint64_t W);
 
 //===--- Module (decode) memo ---------------------------------------------===//
 
-std::shared_ptr<const ir::Function> findModule(uint64_t BytesHash);
+/// \returns the cached module for \p BytesHash, or null. On a hit, \p
+/// FnHash (when given) receives the module's ir::hashFunction.
+std::shared_ptr<const ir::Function> findModule(uint64_t BytesHash,
+                                               uint64_t *FnHash = nullptr);
 /// Inserts (first writer wins) and \returns the cached module. \p Cost
 /// is the entry's approximate byte cost for the capacity bound; 0 asks
 /// the cache to estimate from the function's shape (callers that know
-/// the encoded size should pass it -- it is the honest decode cost).
+/// the encoded size should pass it -- it is the honest decode cost). The
+/// module's ir::hashFunction is computed here, once per entry, and
+/// written to \p FnHash when given.
 std::shared_ptr<const ir::Function>
-putModule(uint64_t BytesHash, ir::Function Module, size_t Cost = 0);
+putModule(uint64_t BytesHash, ir::Function Module, size_t Cost = 0,
+          uint64_t *FnHash = nullptr);
 
 //===--- Verify memo ------------------------------------------------------===//
 
@@ -216,6 +236,20 @@ uint64_t compileKey(uint64_t FnHash, const target::TargetDesc &T,
 std::shared_ptr<const CompileResult> findCompile(uint64_t Key);
 std::shared_ptr<const CompileResult> putCompile(uint64_t Key,
                                                 CompileResult R);
+
+//===--- Elision-plan memo ------------------------------------------------===//
+
+/// The plan key: everything jit::buildElisionPlan reads besides the
+/// certificate -- the function (\p FnHash), target \p T, \p Image's
+/// placement, \p Mode, and each integer binding in \p Params (name and
+/// value; float bindings never reach the bounds evaluator).
+uint64_t planKey(uint64_t FnHash, const target::TargetDesc &T,
+                 const target::MemoryImage &Image, target::ElisionMode Mode,
+                 const ParamBindings &Params);
+
+std::shared_ptr<const target::ElisionPlan> findPlan(uint64_t Key);
+std::shared_ptr<const target::ElisionPlan> putPlan(uint64_t Key,
+                                                   target::ElisionPlan P);
 
 //===--- Decoded-program memo ---------------------------------------------===//
 

@@ -38,6 +38,15 @@ std::string arrayName(const ir::Function &F, uint32_t A) {
 
 } // namespace
 
+analysis::ParamFn intParams(const ParamBindings &Params) {
+  return [&Params](const std::string &N) -> std::optional<int64_t> {
+    for (const ParamBinding &P : Params)
+      if (!P.IsFP && P.Name == N)
+        return P.Int;
+    return std::nullopt;
+  };
+}
+
 ElisionPlan buildElisionPlan(const ir::Function &F,
                              const analysis::SafetyCertificate *Cert,
                              const target::TargetDesc &T,

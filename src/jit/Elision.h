@@ -26,8 +26,27 @@
 #include "target/MemoryImage.h"
 #include "target/Target.h"
 
+#include <string>
+#include <vector>
+
 namespace vapor {
 namespace jit {
+
+/// One scalar parameter as a run binds it (vapor/FillAdapters.h's
+/// bindParams). A float parameter carries no integer value the bounds
+/// evaluator may rely on.
+struct ParamBinding {
+  std::string Name;
+  bool IsFP = false;
+  int64_t Int = 0;
+  double FP = 0;
+};
+using ParamBindings = std::vector<ParamBinding>;
+
+/// The bounds evaluator's view of \p Params: each integer binding by
+/// name; float and unbound names have no value. The returned function
+/// refers to \p Params, which must outlive it.
+analysis::ParamFn intParams(const ParamBindings &Params);
 
 /// Builds the elision plan for running \p F on \p T against \p Image with
 /// the parameter bindings \p Params (absent integer parameters default to

@@ -1598,6 +1598,7 @@ CompileResult jit::compile(const Function &F, const TargetDesc &T,
   S.arg("target", T.Name);
   S.arg("tier", Opt.CompilerTier == Tier::Strong ? "strong" : "weak");
   CompileResult R = JitCompiler(F, T, RT, Opt).run();
+  R.Iaca = target::analyzeVectorLoop(R.Code, T);
   static obs::Counter Compiles("jit.compiles");
   static obs::Counter Scalarized("jit.scalarized");
   Compiles.add(1);

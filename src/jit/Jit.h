@@ -36,6 +36,7 @@
 
 #include "ir/Function.h"
 #include "support/Status.h"
+#include "target/Iaca.h"
 #include "target/MachineIR.h"
 #include "target/MemoryImage.h"
 #include "target/Target.h"
@@ -97,6 +98,9 @@ struct CompileResult {
   bool Scalarized = false; ///< The whole function was scalar-expanded.
   std::string ScalarizeReason;
   StrategyStats Strategy;
+  /// Static throughput of Code's vector main loop, analyzed once per
+  /// compile (target::analyzeVectorLoop) so cached compiles carry it.
+  target::IacaReport Iaca;
 };
 
 //===--- The per-target strategy model ------------------------------------===//

@@ -1883,6 +1883,11 @@ DecodedProgram::build(const MFunction &F, const TargetDesc &T,
   P->PreFusionOps = static_cast<uint32_t>(P->Code.size());
   if (Fuse)
     VMFuser::run(*P);
+  // Programs live on in the code cache: drop the decoder's growth slack
+  // and whatever fusion freed.
+  P->Code.shrink_to_fit();
+  P->AuxLanes.shrink_to_fit();
+  P->OrigIndex.shrink_to_fit();
   static obs::Counter Built("vm.programs_built");
   static obs::Counter PreOps("vm.ops_prefusion");
   static obs::Counter Fused("vm.ops_fused");

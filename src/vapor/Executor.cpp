@@ -19,8 +19,6 @@
 #include "verify/Verify.h"
 
 #include <chrono>
-#include <map>
-#include <set>
 
 using namespace vapor;
 using namespace vapor::ir;
@@ -70,21 +68,24 @@ void countExecTier(ExecTier T) {
 
 /// The one decode path: hash the encoded bytes, look the module up in the
 /// code cache, and decode (and insert) on a miss. The decoded module is a
-/// pure function of the bytes, so a hit is exactly "same bytes in".
+/// pure function of the bytes, so a hit is exactly "same bytes in". With
+/// the cache live, \p FnHash receives the module's ir::hashFunction, kept
+/// in the cache entry; otherwise it is left 0 (computed on demand).
 status::Expected<std::shared_ptr<const ir::Function>>
-decodeCached(const std::vector<uint8_t> &Bytes) {
+decodeCached(const std::vector<uint8_t> &Bytes, uint64_t &FnHash) {
   const bool Cached = jit::cache::enabled();
   uint64_t BytesHash = 0;
   if (Cached) {
     BytesHash = jit::cache::hashBytes(Bytes.data(), Bytes.size());
-    if (auto Hit = jit::cache::findModule(BytesHash))
+    if (auto Hit = jit::cache::findModule(BytesHash, &FnHash))
       return Hit;
   }
   auto Decoded = bytecode::decode(Bytes);
   if (!Decoded)
     return Decoded.status();
   if (Cached)
-    return jit::cache::putModule(BytesHash, Decoded.take(), Bytes.size());
+    return jit::cache::putModule(BytesHash, Decoded.take(), Bytes.size(),
+                                 &FnHash);
   return std::make_shared<const ir::Function>(Decoded.take());
 }
 
@@ -155,14 +156,15 @@ RunOutcome Executor::runTiered(ExecTier Eager) {
     kernels::Kernel K2 = K;
     std::shared_ptr<const ir::Function> Mod = FailClosed ? Module : nullptr;
     size_t Bytes = ModuleBytes;
+    uint64_t Hash = ModuleHash;
     Flow Fl = F;
     ExecTier CT = static_cast<ExecTier>(D.CompileTier);
     std::string Tenant = jit::cache::currentTenant();
     tiering::engine().enqueueCompile(
         Key, D.EntryTier, D.CompileTier,
-        [K2, O2, Mod, Bytes, Fl, CT, Tenant]() -> bool {
+        [K2, O2, Mod, Bytes, Hash, Fl, CT, Tenant]() -> bool {
           jit::cache::ScopedTenant Scope(Tenant);
-          RunOutcome BG = Mod ? Executor(K2, O2, Mod, Bytes).runChain(CT)
+          RunOutcome BG = Mod ? Executor(K2, O2, Mod, Bytes, Hash).runChain(CT)
                               : Executor(K2, O2, Fl).runChain(CT);
           return BG.Terminal.ok() &&
                  static_cast<uint8_t>(BG.Tier) <= static_cast<uint8_t>(CT);
@@ -285,7 +287,7 @@ Status Executor::prepare(RunOutcome &Out, ExecTier Entry) {
           "bytecode", "encode",
           {{"kernel", obs::argStr(K.Name)},
            {"bytes", obs::argStr(static_cast<uint64_t>(Encoded.size()))}});
-    auto Decoded = decodeCached(Encoded);
+    auto Decoded = decodeCached(Encoded, ModuleHash);
     if (!Decoded)
       return Decoded.status();
     Module = Decoded.take();
@@ -352,6 +354,9 @@ Status Executor::runModule(RunOutcome &Out, bool ForceScalarize,
         "native tier unsupported on this host (needs x86-64 + sse2; have '" +
             O.Native.Features.str() + "')");
   const ir::Function &Fn = *Module;
+  // One binding pass per attempt: the plan key, the bounds evaluator and
+  // the engine's setParam* calls all read this list.
+  const jit::ParamBindings Params = detail::bindParams(K, Fn);
 
   // --- Runtime layout: a fresh image per attempt, because a trapped run
   // may have partially written arrays. ---
@@ -406,13 +411,11 @@ Status Executor::runModule(RunOutcome &Out, bool ForceScalarize,
   Out.Scalarized = R->Scalarized;
   Out.Code = R->Code;
   Out.Strategy = R->Strategy;
-  Out.Iaca = analyzeVectorLoop(Out.Code, O.Target);
+  Out.Iaca = R->Iaca;
 
-  // --- Proof-carrying check elision: replay the verifier's certificate
-  // through the independent checker and evaluate its runtime
-  // preconditions against this concrete placement. Fault-injected runs
-  // stand down from On to Off -- an injected fault must never be masked
-  // by an elided check (Audit keeps every check live, so it may pass
+  // --- Proof-carrying check elision. Fault-injected runs stand down
+  // from On to Off -- an injected fault must never be masked by an
+  // elided check (Audit keeps every check live, so it may pass
   // through). Forced-scalar recompiles run code the certificate does
   // not describe, so they never elide.
   target::ElisionMode EMode = O.Elide;
@@ -420,39 +423,10 @@ Status Executor::runModule(RunOutcome &Out, bool ForceScalarize,
     EMode = target::ElisionMode::Off;
   if (ForceScalarize)
     EMode = target::ElisionMode::Off;
-  target::ElisionPlan Plan;
-  if (EMode != target::ElisionMode::Off && Cert) {
-    // Mirror exactly the values the workload will bind below: ints get
-    // their table value (absent => 0), FP-bound params have no integer
-    // value the bounds evaluator may rely on.
-    std::map<std::string, int64_t> IntVals;
-    std::set<std::string> FpSet;
-    detail::setParams(
-        K, Fn,
-        [&](const std::string &N, int64_t V) { IntVals[N] = V; },
-        [&](const std::string &N, double) { FpSet.insert(N); });
-    analysis::ParamFn PF =
-        [&IntVals, &FpSet](const std::string &N) -> std::optional<int64_t> {
-      auto It = IntVals.find(N);
-      if (It != IntVals.end())
-        return It->second;
-      return std::nullopt; // FP-bound or unknown: no integer value.
-    };
-    (void)FpSet;
-    Plan = jit::buildElisionPlan(Fn, Cert.get(), O.Target, *Out.Mem,
-                                 EMode, PF);
-  } else {
-    Plan.Mode = target::ElisionMode::Off;
-  }
-  const target::ElisionPlan *PlanPtr =
-      Plan.Mode != target::ElisionMode::Off ? &Plan : nullptr;
-  Out.ElideMode = Plan.Mode;
-  Out.AlignElided = Plan.AlignElided;
-  Out.BoundsElided = Plan.BoundsElided;
-  Out.ChecksKept = Plan.ChecksKept;
-  Out.ElideFactsRejected = Plan.FactsRejected;
-  Out.ElideCheckerError = Plan.CheckerError;
-  Out.ElideDecisions = Plan.Decisions;
+  Out.Elision = EMode != target::ElisionMode::Off && Cert
+                    ? elisionPlan(*Out.Mem, EMode, Params)
+                    : nullptr;
+  const target::ElisionPlan *PlanPtr = Out.Elision.get();
   // Audit counters are NOT reset here: they accumulate across the whole
   // demotion chain, so a genuine would-have-fired in a trapped attempt
   // survives the recovery rerun (the soundness sweep reads the total).
@@ -488,10 +462,7 @@ Status Executor::runModule(RunOutcome &Out, bool ForceScalarize,
     codegen::NativeExec Exec(Unit, *Out.Mem);
     if (O.DeadlineFuel)
       Exec.setFuel(O.DeadlineFuel);
-    detail::setParams(
-        K, Fn,
-        [&](const std::string &N, int64_t V) { Exec.setParamInt(N, V); },
-        [&](const std::string &N, double V) { Exec.setParamFP(N, V); });
+    detail::applyParams(Params, Exec);
     Status St = Exec.run();
     Out.AuditAlignFired += Exec.auditAlignFired();
     Out.AuditBoundsFired += Exec.auditBoundsFired();
@@ -517,10 +488,7 @@ Status Executor::runModule(RunOutcome &Out, bool ForceScalarize,
   Machine.setTrapRecording(true);
   if (O.DeadlineFuel)
     Machine.setFuel(O.DeadlineFuel);
-  detail::setParams(
-      K, Fn,
-      [&](const std::string &N, int64_t V) { Machine.setParamInt(N, V); },
-      [&](const std::string &N, double V) { Machine.setParamFP(N, V); });
+  detail::applyParams(Params, Machine);
   Status St = Machine.run();
   Out.AuditAlignFired += Machine.auditAlignFired();
   Out.AuditBoundsFired += Machine.auditBoundsFired();
@@ -530,15 +498,36 @@ Status Executor::runModule(RunOutcome &Out, bool ForceScalarize,
   return Status::okStatus();
 }
 
+std::shared_ptr<const target::ElisionPlan>
+Executor::elisionPlan(const MemoryImage &Mem, target::ElisionMode Mode,
+                      const jit::ParamBindings &Params) {
+  const bool Cached = jit::cache::enabled();
+  uint64_t Key = 0;
+  if (Cached) {
+    Key = jit::cache::planKey(moduleHash(), O.Target, Mem, Mode, Params);
+    if (auto Hit = jit::cache::findPlan(Key))
+      return Hit;
+  }
+  // A miss replays the verifier's certificate through the independent
+  // checker and evaluates its runtime preconditions against this
+  // concrete placement and these parameter values.
+  obs::Span S("jit", "elision_plan");
+  S.arg("kernel", K.Name);
+  S.arg("target", O.Target.Name);
+  target::ElisionPlan Plan = jit::buildElisionPlan(
+      *Module, Cert.get(), O.Target, Mem, Mode, jit::intParams(Params));
+  S.arg("elided", static_cast<uint64_t>(Plan.AlignElided + Plan.BoundsElided));
+  if (Cached)
+    return jit::cache::putPlan(Key, std::move(Plan));
+  return std::make_shared<const target::ElisionPlan>(std::move(Plan));
+}
+
 void Executor::runInterpreter(RunOutcome &Out) {
   Evaluator E(K.Source, {});
   E.allocAllArrays();
   detail::EvalFill Fill(E);
   K.fill(Fill);
-  detail::setParams(
-      K, K.Source,
-      [&](const std::string &N, int64_t V) { E.setParamInt(N, V); },
-      [&](const std::string &N, double V) { E.setParamFP(N, V); });
+  detail::applyParams(detail::bindParams(K, K.Source), E);
   E.run();
 
   // Materialize the evaluator's results into a fresh memory image so
@@ -577,7 +566,8 @@ RunOutcome vapor::runEncodedModule(const ModuleWorkload &W,
   // The bytes are the only definition of the work, so a decode failure
   // is terminal -- no tier can synthesize a module the wire format
   // rejected.
-  auto Decoded = decodeCached(W.Bytecode);
+  uint64_t FnHash = 0;
+  auto Decoded = decodeCached(W.Bytecode, FnHash);
   if (!Decoded) {
     RunOutcome Out;
     Out.Terminal = Decoded.status();
@@ -600,6 +590,6 @@ RunOutcome vapor::runEncodedModule(const ModuleWorkload &W,
     kernels::defaultFill(Sink, *Module, Seed);
   };
 
-  return Executor(K, O, std::move(Module), W.Bytecode.size())
+  return Executor(K, O, std::move(Module), W.Bytecode.size(), FnHash)
       .run(O.UseNative ? ExecTier::Native : ExecTier::Vectorized);
 }

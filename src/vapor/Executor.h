@@ -58,6 +58,7 @@
 #define VAPOR_VAPOR_EXECUTOR_H
 
 #include "analysis/Certificate.h"
+#include "jit/Elision.h"
 #include "vapor/Pipeline.h"
 
 namespace vapor {
@@ -75,11 +76,13 @@ public:
   /// size. The chain FAIL-CLOSES: with no trusted kernel source behind the
   /// module, the floor is a Terminal Status, never the interpreter. \p K
   /// still supplies the workload (params, fill, name); its Source is
-  /// unused.
+  /// unused. \p FnHash is the module's ir::hashFunction when the caller
+  /// already has it (the code cache's module memo keeps it); 0 means
+  /// "hash on first use".
   Executor(const kernels::Kernel &K, const RunOptions &O,
            std::shared_ptr<const ir::Function> PreDecoded,
-           size_t EncodedBytes)
-      : K(K), O(O), Module(std::move(PreDecoded)),
+           size_t EncodedBytes, uint64_t FnHash = 0)
+      : K(K), O(O), Module(std::move(PreDecoded)), ModuleHash(FnHash),
         ModuleBytes(EncodedBytes), FailClosed(true) {}
 
   /// Walks the chain starting at \p Entry until a tier completes. Never
@@ -128,7 +131,8 @@ private:
   /// the module hash and the run's target). Captures the certificate.
   status::Status verifyGate();
 
-  /// ir::hashFunction(*Module), computed once per executor.
+  /// ir::hashFunction(*Module): the code cache's copy when the module came
+  /// through it, else computed once per executor.
   uint64_t moduleHash();
 
   /// Golden evaluator; materializes results into a fresh MemoryImage so
@@ -142,6 +146,14 @@ private:
   status::Status runModule(RunOutcome &Out, bool ForceScalarize,
                            RunEngine Engine = RunEngine::Vm);
 
+  /// The elision plan for running Module against \p Mem under \p Mode
+  /// with \p Params bound, through the code cache's plan memo: a hit
+  /// skips the certificate checker and the bounds evaluator entirely.
+  /// Requires the verify gate's certificate.
+  std::shared_ptr<const target::ElisionPlan>
+  elisionPlan(const target::MemoryImage &Mem, target::ElisionMode Mode,
+              const jit::ParamBindings &Params);
+
   const kernels::Kernel &K;
   const RunOptions &O;
   /// Module source of trusted kernel flows (unused in server mode).
@@ -149,7 +161,7 @@ private:
   /// The run's decoded module once prepared (given up front in server
   /// mode); possibly shared with the code cache (immutable either way).
   std::shared_ptr<const ir::Function> Module;
-  uint64_t ModuleHash = 0; ///< ir::hashFunction(*Module), once computed.
+  uint64_t ModuleHash = 0; ///< ir::hashFunction(*Module); 0 = not yet.
   size_t ModuleBytes = 0;  ///< Encoded size of Module.
   /// Server mode: the floor is a Terminal Status instead of the
   /// interpreter, and the tiering cold tier is ScalarJit.

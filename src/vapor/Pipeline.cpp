@@ -51,6 +51,11 @@ const char *vapor::tierName(ExecTier T) {
   vapor_unreachable("bad tier");
 }
 
+const target::ElisionPlan &RunOutcome::elision() const {
+  static const target::ElisionPlan Off;
+  return Elision ? *Elision : Off;
+}
+
 /// The native flows: trusted offline compilation with full knowledge, no
 /// interchange format, hard asserts. The split flows take the
 /// fault-tolerant path through the Executor's degradation chain.
@@ -106,17 +111,14 @@ static RunOutcome runNative(const kernels::Kernel &K, Flow F,
       std::chrono::duration<double, std::micro>(T1 - T0).count();
   Out.Scalarized = CR.Scalarized;
   Out.Code = std::move(CR.Code);
-  Out.Iaca = analyzeVectorLoop(Out.Code, O.Target);
+  Out.Iaca = CR.Iaca;
 
   // --- Workload and execution (a native trap is a hard abort) ---
   detail::MemFill Fill(*Out.Mem);
   K.fill(Fill);
 
   VM Machine(Out.Code, O.Target, *Out.Mem, /*Weak=*/false);
-  detail::setParams(
-      K, Compiled,
-      [&](const std::string &N, int64_t V) { Machine.setParamInt(N, V); },
-      [&](const std::string &N, double V) { Machine.setParamFP(N, V); });
+  detail::applyParams(detail::bindParams(K, Compiled), Machine);
   Machine.run();
   Out.Cycles = Machine.cycles();
   Out.Tier = ExecTier::Vectorized;
@@ -146,10 +148,7 @@ bool vapor::checkAgainstGolden(const kernels::Kernel &K,
   E.allocAllArrays();
   detail::EvalFill Fill(E);
   K.fill(Fill);
-  detail::setParams(
-      K, K.Source,
-      [&](const std::string &N, int64_t V) { E.setParamInt(N, V); },
-      [&](const std::string &N, double V) { E.setParamFP(N, V); });
+  detail::applyParams(detail::bindParams(K, K.Source), E);
   E.run();
 
   // Name the producing tier in every mismatch so degraded runs can't

@@ -28,6 +28,7 @@
 #include "jit/Jit.h"
 #include "kernels/Kernels.h"
 #include "support/Status.h"
+#include "target/Elision.h"
 #include "target/Iaca.h"
 #include "target/MemoryImage.h"
 #include "target/Target.h"
@@ -155,16 +156,12 @@ struct RunOutcome {
   /// tier is Native.
   codegen::NativeStats NativeCode;
 
-  /// Proof-carrying check-elision record of the executed tier's run
-  /// (split flows; Off when elision stood down or nothing was granted).
-  target::ElisionMode ElideMode = target::ElisionMode::Off;
-  uint32_t AlignElided = 0;        ///< Align grants applied to accesses.
-  uint32_t BoundsElided = 0;       ///< Bounds grants applied.
-  uint32_t ChecksKept = 0;         ///< Certified accesses left checked.
-  uint32_t ElideFactsRejected = 0; ///< Facts the checker refused.
-  std::string ElideCheckerError;   ///< Certificate-level rejection, if any.
-  /// Per-access elide/keep/audit decision lines (vapor-explain).
-  std::vector<std::string> ElideDecisions;
+  /// The proof-carrying check-elision plan the executed tier ran under
+  /// (split flows), shared with the code cache: mode, grant counts,
+  /// rejected facts, checker error and the per-access decision lines
+  /// vapor-explain prints. Null when elision stood down or the verifier
+  /// certified nothing; elision() then reads as an Off plan.
+  std::shared_ptr<const target::ElisionPlan> Elision;
   /// Audit-mode telemetry: genuine would-have-fired check predicates.
   uint64_t AuditAlignFired = 0;
   uint64_t AuditBoundsFired = 0;
@@ -191,6 +188,9 @@ struct RunOutcome {
   /// interpreter on tenant-supplied input. When set, Mem is partial or
   /// absent and must not be compared against the golden model.
   status::Status Terminal = status::Status::okStatus();
+
+  /// *Elision, or an Off plan that granted nothing when it is null.
+  const target::ElisionPlan &elision() const;
 };
 
 /// Compiles and executes \p K under \p Flow. Split flows run under the

@@ -11,8 +11,10 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "bytecode/Bytecode.h"
 #include "ir/Function.h"
 #include "jit/CodeCache.h"
+#include "kernels/Kernels.h"
 
 #include <gtest/gtest.h>
 
@@ -279,6 +281,112 @@ TEST_F(CodeCacheTest, ClearKeepsLifetimeCountersDropsResidency) {
   EXPECT_EQ(S.BytesLive, 0u);
   EXPECT_EQ(S.Evictions, 1u) << "clear() is not an eviction";
   EXPECT_EQ(cache::findModule(2), nullptr);
+}
+
+//===--- Module hash ------------------------------------------------------===//
+
+TEST_F(CodeCacheTest, ModuleMemoKeepsTheFunctionHash) {
+  const kernels::Kernel K = kernels::kernelByName("saxpy_fp");
+  std::vector<uint8_t> Bytes = bytecode::encode(K.Source);
+  auto Decoded = bytecode::decode(Bytes);
+  ASSERT_TRUE(Decoded);
+  const uint64_t Want = ir::hashFunction(*Decoded);
+  uint64_t Put = 0, Found = 0;
+  auto M = cache::putModule(9, Decoded.take(), Bytes.size(), &Put);
+  ASSERT_NE(M, nullptr);
+  EXPECT_EQ(Put, Want);
+  EXPECT_EQ(ir::hashFunction(*M), Want);
+  ASSERT_NE(cache::findModule(9, &Found), nullptr);
+  EXPECT_EQ(Found, Want);
+}
+
+//===--- Elision-plan memo ------------------------------------------------===//
+
+/// A plan whose cost is dominated by one \p Bytes-long decision line.
+target::ElisionPlan planOfSize(size_t Bytes) {
+  target::ElisionPlan P;
+  P.Mode = target::ElisionMode::On;
+  P.Decisions.push_back(std::string(Bytes, 'd'));
+  return P;
+}
+
+TEST_F(CodeCacheTest, PlanMemoHitsMissesAndClear) {
+  EXPECT_EQ(cache::findPlan(5), nullptr);
+  auto P = cache::putPlan(5, planOfSize(10));
+  ASSERT_NE(P, nullptr);
+  EXPECT_EQ(cache::findPlan(5), P) << "a hit shares the inserted plan";
+  cache::Stats S = cache::stats();
+  EXPECT_EQ(S.PlanMisses, 1u);
+  EXPECT_EQ(S.PlanHits, 1u);
+  cache::clear();
+  EXPECT_EQ(cache::findPlan(5), nullptr) << "clear() drops plans";
+}
+
+TEST_F(CodeCacheTest, PlanEntriesShareTheRecencyListAndTenantLedger) {
+  cache::setCapacity(3000);
+  {
+    cache::ScopedTenant T("planner");
+    cache::putPlan(5, planOfSize(1000));
+  }
+  auto All = cache::tenantStats();
+  const cache::TenantStats *L = lineFor(All, "planner");
+  ASSERT_NE(L, nullptr);
+  EXPECT_EQ(L->Entries, 1u);
+  EXPECT_GE(L->BytesLive, 1000u) << "the plan's decisions are its cost";
+  EXPECT_EQ(cache::stats().BytesLive, L->BytesLive);
+
+  cache::putModule(1, tinyFn("a"), 2500); // Evicts the cold plan.
+  EXPECT_EQ(cache::findPlan(5), nullptr);
+  EXPECT_EQ(cache::stats().Evictions, 1u);
+  All = cache::tenantStats();
+  L = lineFor(All, "planner");
+  ASSERT_NE(L, nullptr);
+  EXPECT_EQ(L->BytesLive, 0u);
+  EXPECT_EQ(L->Evictions, 1u);
+}
+
+TEST_F(CodeCacheTest, OversizedPlanIsServedButNeverResident) {
+  cache::setCapacity(500);
+  auto P = cache::putPlan(5, planOfSize(4000));
+  ASSERT_NE(P, nullptr);
+  EXPECT_EQ(P->Decisions.front().size(), 4000u);
+  EXPECT_EQ(cache::findPlan(5), nullptr);
+  EXPECT_LE(cache::stats().BytesLive, 500u);
+}
+
+TEST_F(CodeCacheTest, PlanKeyCoversEveryIngredient) {
+  const kernels::Kernel K = kernels::kernelByName("saxpy_fp");
+  target::MemoryImage Aligned, Shifted;
+  for (const ir::ArrayInfo &A : K.Source.Arrays) {
+    Aligned.addArray(A, 0);
+    Shifted.addArray(A, 8);
+  }
+  const target::TargetDesc Sse = target::sseTarget();
+  const ParamBindings Params = {{"n", false, 512, 0}, {"alpha", true, 0, 2}};
+  const auto On = target::ElisionMode::On;
+  const uint64_t Base = cache::planKey(1, Sse, Aligned, On, Params);
+  EXPECT_EQ(cache::planKey(1, Sse, Aligned, On, Params), Base);
+
+  EXPECT_NE(cache::planKey(2, Sse, Aligned, On, Params), Base) << "function";
+  EXPECT_NE(cache::planKey(1, target::avxTarget(), Aligned, On, Params), Base)
+      << "target";
+  EXPECT_NE(cache::planKey(1, Sse, Shifted, On, Params), Base) << "placement";
+  EXPECT_NE(cache::planKey(1, Sse, Aligned, target::ElisionMode::Audit,
+                           Params),
+            Base)
+      << "mode";
+  ParamBindings Other = Params;
+  Other[0].Int = 256;
+  EXPECT_NE(cache::planKey(1, Sse, Aligned, On, Other), Base)
+      << "integer value";
+  Other = Params;
+  Other[0].Name = "m";
+  EXPECT_NE(cache::planKey(1, Sse, Aligned, On, Other), Base)
+      << "integer name";
+  // Float values never reach the bounds evaluator: no key field.
+  Other = Params;
+  Other[1].FP = 3;
+  EXPECT_EQ(cache::planKey(1, Sse, Aligned, On, Other), Base);
 }
 
 } // namespace

@@ -250,13 +250,13 @@ TEST_P(ElisionRunTest, OnOffAuditBitExactOnVm) {
       RunOutcome On = runWith(K, T, Mis, target::ElisionMode::On, false);
       EXPECT_TRUE(checkAgainstGolden(K, On, Err))
           << T.Name << " mis=" << Mis << " elide=on: " << Err;
-      Granted += On.AlignElided + On.BoundsElided;
+      Granted += On.elision().AlignElided + On.elision().BoundsElided;
 
       RunOutcome Off = runWith(K, T, Mis, target::ElisionMode::Off, false);
       EXPECT_TRUE(checkAgainstGolden(K, Off, Err))
           << T.Name << " mis=" << Mis << " elide=off: " << Err;
-      EXPECT_EQ(Off.ElideMode, target::ElisionMode::Off);
-      EXPECT_EQ(Off.AlignElided + Off.BoundsElided, 0u);
+      EXPECT_EQ(Off.elision().Mode, target::ElisionMode::Off);
+      EXPECT_EQ(Off.elision().AlignElided + Off.elision().BoundsElided, 0u);
 
       // Both modes must complete at the same tier: elision may never
       // introduce a demotion (or paper one over).
@@ -313,8 +313,8 @@ TEST_P(ElisionRunTest, FaultInjectionForcesStandDown) {
   faultinject::ScopedFault Fault(faultinject::SiteClass::VmAlign,
                                  /*FireAt=*/~0ull >> 1);
   RunOutcome Out = runWith(K, T0(), 0, target::ElisionMode::On, false);
-  EXPECT_EQ(Out.ElideMode, target::ElisionMode::Off);
-  EXPECT_EQ(Out.AlignElided + Out.BoundsElided, 0u);
+  EXPECT_EQ(Out.elision().Mode, target::ElisionMode::Off);
+  EXPECT_EQ(Out.elision().AlignElided + Out.elision().BoundsElided, 0u);
   std::string Err;
   EXPECT_TRUE(checkAgainstGolden(K, Out, Err)) << Err;
 }

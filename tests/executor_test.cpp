@@ -10,6 +10,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "jit/CodeCache.h"
+#include "obs/Obs.h"
 #include "support/FaultInject.h"
 #include "vapor/Executor.h"
 #include "vapor/Pipeline.h"
@@ -246,6 +248,217 @@ TEST(ExecutorTest, TierNamesAreStable) {
   EXPECT_STREQ(tierName(ExecTier::Vectorized), "vectorized");
   EXPECT_STREQ(tierName(ExecTier::ScalarJit), "scalar-jit");
   EXPECT_STREQ(tierName(ExecTier::Interpreter), "interpreter");
+}
+
+//===--- Code-cache memos of the warm path --------------------------------===//
+
+/// Every memo test starts and ends on an empty, enabled, unbounded cache
+/// with zeroed tallies (the cache is process-global).
+class ExecutorMemoTest : public ::testing::Test {
+protected:
+  void SetUp() override { reset(); }
+  void TearDown() override { reset(); }
+  static void reset() {
+    jit::cache::setEnabled(true);
+    jit::cache::setCapacity(0);
+    jit::cache::clear();
+    jit::cache::resetStats();
+  }
+};
+
+RunOptions onTarget(const target::TargetDesc &T) {
+  RunOptions O;
+  O.Target = T;
+  return O;
+}
+
+/// Runs \p K split-vectorized under \p O, checks it against golden, and
+/// \returns the outcome with the plan-memo tallies it moved.
+RunOutcome runCounted(const Kernel &K, const RunOptions &O,
+                      uint64_t &PlanHits, uint64_t &PlanMisses) {
+  jit::cache::Stats S0 = jit::cache::stats();
+  RunOutcome Out = runKernel(K, Flow::SplitVectorized, O);
+  jit::cache::Stats S1 = jit::cache::stats();
+  PlanHits = S1.PlanHits - S0.PlanHits;
+  PlanMisses = S1.PlanMisses - S0.PlanMisses;
+  std::string Err;
+  EXPECT_TRUE(checkAgainstGolden(K, Out, Err)) << Err;
+  return Out;
+}
+
+TEST_F(ExecutorMemoTest, WarmRunHitsThePlanMemoAndSkipsTheChecker) {
+  const Kernel K = kernelByName("saxpy_fp");
+  const RunOptions O = onTarget(target::sseTarget());
+  uint64_t Hits = 0, Misses = 0;
+  RunOutcome Cold = runCounted(K, O, Hits, Misses);
+  EXPECT_EQ(Misses, 1u);
+  EXPECT_EQ(Hits, 0u);
+  ASSERT_NE(Cold.Elision, nullptr) << "saxpy_fp certifies on sse";
+  EXPECT_GT(Cold.elision().AlignElided + Cold.elision().BoundsElided, 0u);
+
+  // The warm run shares the cold run's plan: neither the checker nor the
+  // bounds evaluator runs again.
+  RunOutcome Warm;
+  {
+    obs::TraceSink Sink(""); // Collect only.
+    Warm = runCounted(K, O, Hits, Misses);
+#if VAPOR_OBS_ENABLED
+    for (const obs::Event &E : Sink.events())
+      EXPECT_FALSE(E.Cat == "jit" && E.Name == "elision_plan")
+          << "a warm run rebuilt its elision plan";
+#endif
+  }
+  EXPECT_EQ(Hits, 1u);
+  EXPECT_EQ(Misses, 0u);
+  EXPECT_EQ(Warm.Elision.get(), Cold.Elision.get());
+}
+
+TEST_F(ExecutorMemoTest, ColdRunTracesOnePlanBuild) {
+#if !VAPOR_OBS_ENABLED
+  GTEST_SKIP() << "built with -DVAPOR_OBS=OFF: no spans to inspect";
+#else
+  obs::TraceSink Sink("");
+  uint64_t Hits = 0, Misses = 0;
+  runCounted(kernelByName("saxpy_fp"), onTarget(target::sseTarget()), Hits,
+             Misses);
+  unsigned Builds = 0;
+  for (const obs::Event &E : Sink.events())
+    Builds += E.Cat == "jit" && E.Name == "elision_plan";
+  EXPECT_EQ(Builds, 1u);
+#endif
+}
+
+/// Runs \p Base warm, then \p Variant: the variant must miss the plan
+/// memo (its key differs) and get a plan of its own.
+void expectOwnPlan(const Kernel &KBase, const RunOptions &Base,
+                   const Kernel &KVar, const RunOptions &Variant,
+                   const char *What) {
+  uint64_t Hits = 0, Misses = 0;
+  RunOutcome B = runCounted(KBase, Base, Hits, Misses);
+  runCounted(KBase, Base, Hits, Misses);
+  ASSERT_EQ(Hits, 1u) << What << ": the base run must be warm";
+  RunOutcome V = runCounted(KVar, Variant, Hits, Misses);
+  EXPECT_EQ(Misses, 1u) << What << " must be part of the plan key";
+  EXPECT_EQ(Hits, 0u) << What << " must be part of the plan key";
+  ASSERT_NE(B.Elision, nullptr) << What;
+  ASSERT_NE(V.Elision, nullptr) << What;
+  EXPECT_NE(V.Elision.get(), B.Elision.get()) << What;
+}
+
+TEST_F(ExecutorMemoTest, ExternalMisalignmentIsPartOfThePlanKey) {
+  // sad_s8's inputs are external: the misalignment moves their bases,
+  // which decides the align grants.
+  const Kernel K = kernelByName("sad_s8");
+  RunOptions Mis = onTarget(target::sseTarget());
+  Mis.ExternalMisalign = 8;
+  expectOwnPlan(K, onTarget(target::sseTarget()), K, Mis,
+                "external misalignment");
+}
+
+TEST_F(ExecutorMemoTest, IntegerParameterValueIsPartOfThePlanKey) {
+  // A shorter trip count narrows every bounds range the plan evaluates.
+  const Kernel K = kernelByName("saxpy_fp");
+  Kernel Short = K;
+  Short.IntParams["n"] = K.IntParams.at("n") / 2;
+  const RunOptions O = onTarget(target::sseTarget());
+  expectOwnPlan(K, O, Short, O, "integer parameter value");
+  uint64_t Hits = 0, Misses = 0;
+  RunOutcome Long = runCounted(K, O, Hits, Misses);
+  RunOutcome Half = runCounted(Short, O, Hits, Misses);
+  EXPECT_NE(Long.elision().Decisions, Half.elision().Decisions)
+      << "the bounds ranges must follow the bound value of n";
+}
+
+TEST_F(ExecutorMemoTest, ElisionModeIsPartOfThePlanKey) {
+  const Kernel K = kernelByName("saxpy_fp");
+  RunOptions Audit = onTarget(target::sseTarget());
+  Audit.Elide = target::ElisionMode::Audit;
+  expectOwnPlan(K, onTarget(target::sseTarget()), K, Audit, "Audit vs On");
+  uint64_t Hits = 0, Misses = 0;
+  EXPECT_EQ(runCounted(K, Audit, Hits, Misses).elision().Mode,
+            target::ElisionMode::Audit);
+}
+
+TEST_F(ExecutorMemoTest, TargetIsPartOfThePlanKey) {
+  const Kernel K = kernelByName("saxpy_fp");
+  expectOwnPlan(K, onTarget(target::sseTarget()), K,
+                onTarget(target::avxTarget()), "target");
+}
+
+TEST_F(ExecutorMemoTest, ClearDropsPlans) {
+  const Kernel K = kernelByName("saxpy_fp");
+  const RunOptions O = onTarget(target::sseTarget());
+  uint64_t Hits = 0, Misses = 0;
+  runCounted(K, O, Hits, Misses);
+  jit::cache::clear();
+  runCounted(K, O, Hits, Misses);
+  EXPECT_EQ(Misses, 1u);
+  EXPECT_EQ(Hits, 0u);
+}
+
+TEST_F(ExecutorMemoTest, CacheOffRebuildsThePlanEveryRun) {
+  const Kernel K = kernelByName("saxpy_fp");
+  const RunOptions O = onTarget(target::sseTarget());
+  jit::cache::setEnabled(false);
+  uint64_t Hits = 0, Misses = 0;
+  RunOutcome A = runCounted(K, O, Hits, Misses);
+  RunOutcome B = runCounted(K, O, Hits, Misses);
+  EXPECT_EQ(Hits + Misses, 0u) << "the memo is not consulted";
+  ASSERT_NE(A.Elision, nullptr);
+  ASSERT_NE(B.Elision, nullptr);
+  EXPECT_NE(A.Elision.get(), B.Elision.get()) << "each run built its own";
+  EXPECT_EQ(A.elision().Decisions, B.elision().Decisions);
+}
+
+TEST_F(ExecutorMemoTest, FaultControllerRebuildsThePlanEveryRun) {
+  // Audit keeps its plan under fault injection (On stands down to Off),
+  // so the plan is still built -- just never memoized.
+  const Kernel K = kernelByName("saxpy_fp");
+  RunOptions O = onTarget(target::sseTarget());
+  O.Elide = target::ElisionMode::Audit;
+  ScopedFault F(SiteClass::VmAlign, /*FireAt=*/~0ull >> 1);
+  uint64_t Hits = 0, Misses = 0;
+  RunOutcome A = runCounted(K, O, Hits, Misses);
+  RunOutcome B = runCounted(K, O, Hits, Misses);
+  EXPECT_EQ(Hits + Misses, 0u) << "the cache stands down";
+  ASSERT_NE(A.Elision, nullptr);
+  ASSERT_NE(B.Elision, nullptr);
+  EXPECT_NE(A.Elision.get(), B.Elision.get());
+}
+
+void expectSameRun(const RunOutcome &A, const RunOutcome &B,
+                   const std::string &What) {
+  const target::ElisionPlan &PA = A.elision(), &PB = B.elision();
+  EXPECT_EQ(PA.Mode, PB.Mode) << What;
+  EXPECT_EQ(PA.Proven, PB.Proven) << What;
+  EXPECT_EQ(PA.Hash, PB.Hash) << What;
+  EXPECT_EQ(PA.AlignElided, PB.AlignElided) << What;
+  EXPECT_EQ(PA.BoundsElided, PB.BoundsElided) << What;
+  EXPECT_EQ(PA.ChecksKept, PB.ChecksKept) << What;
+  EXPECT_EQ(PA.FactsRejected, PB.FactsRejected) << What;
+  EXPECT_EQ(PA.CheckerError, PB.CheckerError) << What;
+  EXPECT_EQ(PA.Decisions, PB.Decisions) << What;
+  EXPECT_EQ(A.Iaca.Found, B.Iaca.Found) << What;
+  EXPECT_EQ(A.Iaca.Cycles, B.Iaca.Cycles) << What;
+  EXPECT_EQ(A.Cycles, B.Cycles) << What;
+  EXPECT_EQ(A.Tier, B.Tier) << What;
+}
+
+TEST_F(ExecutorMemoTest, WarmColdAndCacheOffRunsReportTheSameEverywhere) {
+  for (const Kernel &K : allKernels()) {
+    for (const target::TargetDesc &T : target::allTargets()) {
+      const RunOptions O = onTarget(T);
+      const std::string What = K.Name + " on " + T.Name;
+      jit::cache::clear();
+      RunOutcome Cold = runKernel(K, Flow::SplitVectorized, O);
+      RunOutcome Warm = runKernel(K, Flow::SplitVectorized, O);
+      jit::cache::setEnabled(false);
+      RunOutcome Off = runKernel(K, Flow::SplitVectorized, O);
+      jit::cache::setEnabled(true);
+      expectSameRun(Cold, Warm, What + " (warm)");
+      expectSameRun(Cold, Off, What + " (cache off)");
+    }
+  }
 }
 
 //===--- Death audit ------------------------------------------------------===//

@@ -138,16 +138,17 @@ void printTieredTimeline(const kernels::Kernel &K,
 /// The proof-carrying elision record: what the checker granted against
 /// this placement and what each certified access decided.
 void printElisionReport(const RunOutcome &Out) {
+  const target::ElisionPlan &P = Out.elision();
   std::printf("  check elision: mode %s — %u align + %u bounds checks "
               "elided, %u kept, %u facts rejected\n",
-              target::elisionModeName(Out.ElideMode), Out.AlignElided,
-              Out.BoundsElided, Out.ChecksKept, Out.ElideFactsRejected);
-  if (!Out.ElideCheckerError.empty())
+              target::elisionModeName(P.Mode), P.AlignElided,
+              P.BoundsElided, P.ChecksKept, P.FactsRejected);
+  if (!P.CheckerError.empty())
     std::printf("    checker rejected certificate: %s\n",
-                Out.ElideCheckerError.c_str());
-  for (const std::string &D : Out.ElideDecisions)
+                P.CheckerError.c_str());
+  for (const std::string &D : P.Decisions)
     std::printf("    %s\n", D.c_str());
-  if (Out.ElideMode == target::ElisionMode::Audit)
+  if (P.Mode == target::ElisionMode::Audit)
     std::printf("    audit: %llu align + %llu bounds would-have-fired\n",
                 static_cast<unsigned long long>(Out.AuditAlignFired),
                 static_cast<unsigned long long>(Out.AuditBoundsFired));
