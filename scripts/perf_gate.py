@@ -105,7 +105,7 @@ Three modes:
                        (crashtest.json, BENCH_crashtest.json) against the
                        kernel registry: its "kernels" count must equal
                        kernels::ExpectedKernelCount, read from
-                       src/kernels/Kernels.h (--kernels-header). A report
+                       src/kernels/Kernels.h. A report
                        from a sweep that lost or gained kernels describes
                        a different suite, so it fails instead of passing
                        silently:
@@ -162,8 +162,9 @@ def native_gate_applies(report, path, allow_missing):
     return False
 
 
-def expected_kernel_count(header):
-    """kernels::ExpectedKernelCount as declared in *header*."""
+def expected_kernel_count():
+    """kernels::ExpectedKernelCount as declared in src/kernels/Kernels.h."""
+    header = os.path.join(REPO_ROOT, "src", "kernels", "Kernels.h")
     try:
         with open(header, "r", encoding="utf-8") as f:
             text = f.read()
@@ -248,11 +249,6 @@ def main():
     ap.add_argument("--crashtest", action="store_true",
                     help="check a vapor-crashtest --json report's kernel "
                          "count against kernels::ExpectedKernelCount")
-    ap.add_argument("--kernels-header",
-                    default=os.path.join(REPO_ROOT, "src", "kernels",
-                                         "Kernels.h"),
-                    help="header declaring ExpectedKernelCount (default: "
-                         "this tree's src/kernels/Kernels.h)")
     args = ap.parse_args()
 
     if args.crashtest:
@@ -267,7 +263,7 @@ def main():
             print(f"perf_gate: {path} has no usable kernel count",
                   file=sys.stderr)
             sys.exit(2)
-        want = expected_kernel_count(args.kernels_header)
+        want = expected_kernel_count()
         verdict = "PASS" if kernels == want else "FAIL"
         print(f"perf_gate: {verdict}: {path} covers {kernels} kernels "
               f"(ExpectedKernelCount {want}), "
